@@ -30,7 +30,7 @@ func main() {
 	}
 }
 
-func run() error {
+func run() (err error) {
 	ensemble := flag.String("ensemble", "msd", "workflow ensemble: msd or ligo")
 	scale := flag.String("scale", "quick", "experiment scale: quick, medium, or paper")
 	out := flag.String("out", "results", "output directory for CSV files")
@@ -64,17 +64,16 @@ func run() error {
 		}
 		return nil
 	}
-	rec, err := obs.FileRecorder(*traceOut, *logLevel)
+	// Sim-time mode keeps the seeded trace byte-identical across runs.
+	s.Tracer, err = obs.OpenTracer(*traceOut, *logLevel, obs.TracerConfig{SimTime: true})
 	if err != nil {
 		return err
 	}
-	defer rec.Close()
-	s.Recorder = rec
-	if rec != nil {
-		s.Tracer = obs.NewTracer(obs.TracerConfig{
-			Recorder: rec, SimTime: true, Debug: *logLevel == "debug",
-		})
-	}
+	defer func() {
+		if cerr := s.Tracer.Close(); err == nil {
+			err = cerr // a trace that failed to flush is a failed run
+		}
+	}()
 
 	algs := splitAlgorithms(*algorithms)
 	var trained *experiments.Trained

@@ -25,7 +25,7 @@ func main() {
 	}
 }
 
-func run() error {
+func run() (err error) {
 	ensemble := flag.String("ensemble", "msd", "workflow ensemble: msd or ligo")
 	scale := flag.String("scale", "quick", "experiment scale: quick, medium, or paper")
 	out := flag.String("out", "results", "output directory for CSV files")
@@ -34,7 +34,7 @@ func run() error {
 	stepsPerIter := flag.Int("steps-per-iter", 0, "override real interactions per iteration (0 keeps the preset)")
 	policyEpisodes := flag.Int("policy-episodes", 0, "override synthetic policy episodes per iteration (0 keeps the preset)")
 	traceOut := flag.String("trace-out", "", "optional JSONL trace file for structured telemetry")
-	logLevel := flag.String("log-level", "info", "trace verbosity: debug or info (debug adds per-epoch and per-update events)")
+	logLevel := flag.String("log-level", "info", "trace verbosity: debug or info (debug adds the per-update and consumer start-up spans)")
 	selfCheck := flag.Bool("selfcheck", false, "run the determinism self-check (two identically seeded short runs must produce identical digests) and exit")
 	flag.Parse()
 
@@ -53,17 +53,16 @@ func run() error {
 		fmt.Printf("determinism self-check passed: %d windows, digest %#016x\n", res.Windows, res.Digest)
 		return nil
 	}
-	rec, err := obs.FileRecorder(*traceOut, *logLevel)
+	// Sim-time mode keeps the seeded trace byte-identical across runs.
+	s.Tracer, err = obs.OpenTracer(*traceOut, *logLevel, obs.TracerConfig{SimTime: true})
 	if err != nil {
 		return err
 	}
-	defer rec.Close()
-	s.Recorder = rec
-	if rec != nil {
-		s.Tracer = obs.NewTracer(obs.TracerConfig{
-			Recorder: rec, SimTime: true, Debug: *logLevel == "debug",
-		})
-	}
+	defer func() {
+		if cerr := s.Tracer.Close(); err == nil {
+			err = cerr // a trace that failed to flush is a failed run
+		}
+	}()
 	if *iterations > 0 {
 		s.Iterations = *iterations
 	}

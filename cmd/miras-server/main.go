@@ -44,7 +44,7 @@ func main() {
 	}
 }
 
-func run() error {
+func run() (err error) {
 	addr := flag.String("addr", "127.0.0.1:8080", "listen address")
 	maxSessions := flag.Int("max-sessions", 64, "maximum concurrent sessions")
 	shutdownTimeout := flag.Duration("shutdown-timeout", 5*time.Second,
@@ -74,33 +74,33 @@ func run() error {
 		"how often to snapshot every live session to the spill store without evicting (requires -spill-dir; 0 disables) — bounds how much history a crashed-without-drain process loses to at most one interval, so a router failover can rehydrate near-current sessions on a fallback")
 	flag.Parse()
 
-	rec, err := obs.FileRecorder(*traceOut, *logLevel)
-	if err != nil {
-		return err
-	}
-	defer rec.Close()
-
-	var prof *obs.ProfileCapturer
-	if *profileDir != "" {
-		prof, err = obs.NewProfileCapturer(obs.ProfileConfig{Dir: *profileDir, Recorder: rec})
-		if err != nil {
-			return err
-		}
-		defer prof.Wait()
-	}
-
 	// Requests are real events, so the serving tracer runs in wall-clock
 	// mode (unlike the sim-time experiment tracers). Spans land in the ring
 	// behind GET /v1/debug/traces and, with -trace-out, in the JSONL file.
-	tracer := obs.NewTracer(obs.TracerConfig{
-		Recorder: rec,
+	var prof *obs.ProfileCapturer
+	tracer, err := obs.OpenTracer(*traceOut, *logLevel, obs.TracerConfig{
 		Ring:     obs.NewSpanRing(4096),
-		Debug:    *logLevel == "debug",
 		SlowWall: *slowRequest,
 		OnAnomaly: func(span string, wall time.Duration) {
 			prof.Trigger("slow_span_" + span)
 		},
 	})
+	if err != nil {
+		return err
+	}
+	defer func() {
+		if cerr := tracer.Close(); err == nil {
+			err = cerr // a trace that failed to flush is a failed run
+		}
+	}()
+
+	if *profileDir != "" {
+		prof, err = obs.NewProfileCapturer(obs.ProfileConfig{Dir: *profileDir, Tracer: tracer})
+		if err != nil {
+			return err
+		}
+		defer prof.Wait()
+	}
 	tsRing := obs.NewTimeSeriesRing(360)
 
 	opts := []httpapi.Option{

@@ -34,31 +34,30 @@ func main() {
 	}
 }
 
-func run() error {
+func run() (err error) {
 	ensemble := flag.String("ensemble", "msd", "workflow ensemble: msd or ligo")
 	study := flag.String("study", "budget", "study: budget, dynamic, chaos, or multiseed")
 	out := flag.String("out", "results", "output directory for CSV files")
 	budgets := flag.String("budgets", "", "comma-separated budgets for -study budget (default ½C,C,2C)")
 	seeds := flag.String("seeds", "1,2,3", "comma-separated seeds for -study multiseed")
 	traceOut := flag.String("trace-out", "", "optional JSONL trace file for structured telemetry")
-	logLevel := flag.String("log-level", "info", "trace verbosity: debug or info (debug adds per-epoch and per-update events)")
+	logLevel := flag.String("log-level", "info", "trace verbosity: debug or info (debug adds the per-update and consumer start-up spans)")
 	flag.Parse()
 
 	s, err := experiments.MediumSetup(*ensemble)
 	if err != nil {
 		return err
 	}
-	rec, err := obs.FileRecorder(*traceOut, *logLevel)
+	// Sim-time mode keeps the seeded trace byte-identical across runs.
+	s.Tracer, err = obs.OpenTracer(*traceOut, *logLevel, obs.TracerConfig{SimTime: true})
 	if err != nil {
 		return err
 	}
-	defer rec.Close()
-	s.Recorder = rec
-	if rec != nil {
-		s.Tracer = obs.NewTracer(obs.TracerConfig{
-			Recorder: rec, SimTime: true, Debug: *logLevel == "debug",
-		})
-	}
+	defer func() {
+		if cerr := s.Tracer.Close(); err == nil {
+			err = cerr // a trace that failed to flush is a failed run
+		}
+	}()
 	switch *study {
 	case "budget":
 		bs, err := parseInts(*budgets)

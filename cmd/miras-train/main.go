@@ -34,14 +34,14 @@ func main() {
 	}
 }
 
-func run() error {
+func run() (err error) {
 	ensemble := flag.String("ensemble", "msd", "workflow ensemble: msd or ligo")
 	scale := flag.String("scale", "quick", "experiment scale: quick, medium, or paper")
 	out := flag.String("out", "results", "output directory for CSV files")
 	savePolicy := flag.String("save-policy", "", "optional path to save the trained policy snapshot (JSON)")
 	seed := flag.Int64("seed", 0, "override experiment seed (0 keeps the preset)")
 	traceOut := flag.String("trace-out", "", "optional JSONL trace file for structured training telemetry")
-	logLevel := flag.String("log-level", "info", "trace verbosity: debug or info (debug adds per-epoch and per-update events)")
+	logLevel := flag.String("log-level", "info", "trace verbosity: debug or info (debug adds the per-update and consumer start-up spans)")
 	selfCheck := flag.Bool("selfcheck", false, "run the determinism self-check (two identically seeded short runs must produce identical digests) and exit")
 	profileDir := flag.String("profile-dir", "", "directory for anomaly-triggered pprof captures (empty disables)")
 	checkpointDir := flag.String("checkpoint-dir", "", "directory for per-iteration training checkpoints (empty disables)")
@@ -71,21 +71,18 @@ func run() error {
 		fmt.Printf("determinism self-check passed: %d windows, digest %#016x\n", res.Windows, res.Digest)
 		return nil
 	}
-	rec, err := obs.FileRecorder(*traceOut, *logLevel)
+	// Sim-time mode keeps the seeded trace byte-identical across runs.
+	s.Tracer, err = obs.OpenTracer(*traceOut, *logLevel, obs.TracerConfig{SimTime: true})
 	if err != nil {
 		return err
 	}
-	defer rec.Close()
-	s.Recorder = rec
-	if rec != nil {
-		// Spans ride the same JSONL sink as events. Sim-time mode keeps the
-		// seeded trace byte-identical across runs.
-		s.Tracer = obs.NewTracer(obs.TracerConfig{
-			Recorder: rec, SimTime: true, Debug: *logLevel == "debug",
-		})
-	}
+	defer func() {
+		if cerr := s.Tracer.Close(); err == nil {
+			err = cerr // a trace that failed to flush is a failed run
+		}
+	}()
 	if *profileDir != "" {
-		prof, err := obs.NewProfileCapturer(obs.ProfileConfig{Dir: *profileDir, Recorder: rec})
+		prof, err := obs.NewProfileCapturer(obs.ProfileConfig{Dir: *profileDir, Tracer: s.Tracer})
 		if err != nil {
 			return err
 		}

@@ -51,14 +51,11 @@ type Config struct {
 	// Nodes is the number of simulated machines consumers are placed on
 	// (the paper's testbed has 3 VMs). Defaults to 3.
 	Nodes int
-	// Recorder, when non-nil, receives structured control-loop events:
-	// scaling decisions with queue depths (info) and per-consumer lifecycle
-	// with realised startup delays (debug). Nil disables all telemetry at
-	// zero cost.
-	Recorder *obs.Recorder
 	// Tracer, when non-nil, emits one "cluster.scale" marker span per
-	// SetConsumers actuation and one "fault.episode" span per injected
-	// fault window (opened at activation, closed at deactivation). Nil
+	// SetConsumers actuation (with the queue depths it reacted to), one
+	// "cluster.request_dropped" marker per queue-drop loss, one debug
+	// "cluster.consumer_start" span per container start lasting its
+	// realised start-up delay, and the injector's fault spans. Nil
 	// disables tracing at zero cost.
 	Tracer *obs.Tracer
 }
@@ -125,9 +122,9 @@ type microservice struct {
 	// busy can exceed available transiently after a scale-down: running
 	// tasks finish, they are not preempted.
 	busy int
-	// pendingStarts are the scheduled container start events, cancellable
-	// if the controller scales down before start-up completes.
-	pendingStarts []*sim.Event
+	// pendingStarts are the scheduled container starts, cancellable if the
+	// controller scales down before start-up completes.
+	pendingStarts []pendingStart
 	// inService pairs each in-flight completion event with its request so
 	// failure injection can withdraw and re-deliver work.
 	inService []inServiceEntry
@@ -183,8 +180,6 @@ type Cluster struct {
 	sizeRNG    *rand.Rand
 	startupRNG *rand.Rand
 	failureRNG *rand.Rand
-
-	rec *obs.Recorder
 
 	failures     uint64
 	redeliveries uint64
@@ -245,7 +240,6 @@ func New(cfg Config, opts ...Option) (*Cluster, error) {
 		sizeRNG:    cfg.Streams.Stream("cluster/size"),
 		startupRNG: cfg.Streams.Stream("cluster/startup"),
 		failureRNG: cfg.Streams.Stream("cluster/failure"),
-		rec:        cfg.Recorder,
 	}
 	for i := 0; i < j; i++ {
 		n := 1
@@ -397,14 +391,14 @@ func (c *Cluster) dropRequest(j int, req *taskRequest) {
 		invariant.Checkf("cluster/conservation", c.inFlight >= 0,
 			"in-flight went negative (%d) dropping workflow %d", c.inFlight, inst.wf)
 	}
-	if ev := c.rec.Event("request_dropped"); ev != nil {
-		ev.T(c.engine.Now()).
-			Int("service", j).
-			Int("workflow", inst.wf).
-			Int("node", req.node).
-			Uint("dropped_total", c.droppedInstances).
-			Emit()
-	}
+	now := c.engine.Now()
+	c.cfg.Tracer.Start("cluster.request_dropped").
+		T0(now).
+		Int("service", j).
+		Int("workflow", inst.wf).
+		Int("node", req.node).
+		Uint("dropped_total", c.droppedInstances).
+		EndT(now)
 }
 
 // dispatch starts idle consumers on queued requests for microservice j.
@@ -517,21 +511,19 @@ func (c *Cluster) SetConsumers(target []int) error {
 		}
 		c.setTarget(j, m)
 	}
-	// One scale event per decision, carrying the queue depths the decision
-	// reacted to — the paper's Figure 1 control actuation, observable.
-	if ev := c.rec.Event("cluster_scale"); ev != nil {
-		ev.T(float64(c.engine.Now())).
+	// One span per decision, carrying the queue depths the decision
+	// reacted to — the paper's Figure 1 control actuation, observable. The
+	// actuation is instantaneous in virtual time, so the span is a
+	// zero-duration marker parented under whatever window span is ambient.
+	if sp := c.cfg.Tracer.Start("cluster.scale"); sp != nil {
+		now := c.engine.Now()
+		sp.T0(now).
 			Ints("target", target).
 			Ints("available", c.Consumers()).
 			Ints("queues", c.QueueLengths()).
 			Int("inflight", c.inFlight).
-			Emit()
+			EndT(now)
 	}
-	// The actuation is instantaneous in virtual time; the span is a
-	// zero-duration marker carrying the decision, parented under whatever
-	// window span is ambient.
-	now := float64(c.engine.Now())
-	c.cfg.Tracer.Start("cluster.scale").T0(now).Int("inflight", c.inFlight).EndT(now)
 	return nil
 }
 
@@ -548,9 +540,10 @@ func (c *Cluster) setTarget(j, m int) {
 		// Cancel not-yet-started containers first, newest first.
 		excess := committed - m
 		for excess > 0 && len(svc.pendingStarts) > 0 {
-			ev := svc.pendingStarts[len(svc.pendingStarts)-1]
+			ps := svc.pendingStarts[len(svc.pendingStarts)-1]
 			svc.pendingStarts = svc.pendingStarts[:len(svc.pendingStarts)-1]
-			c.engine.Cancel(ev)
+			c.engine.Cancel(ps.ev)
+			ps.cancel(c.engine.Now())
 			excess--
 		}
 		// Then retire running/idle consumers immediately (running tasks
@@ -579,11 +572,12 @@ func (c *Cluster) startConsumer(j int) {
 // (a fault plan's MTTR draw, or the normal start-up draw).
 func (c *Cluster) startConsumerAfter(j int, delay float64) {
 	svc := c.services[j]
-	c.rec.Debug("consumer_start").
-		T(float64(c.engine.Now())).
+	// The span runs from the start request to the consumer coming up, so
+	// its length is the realised start-up delay.
+	span := c.cfg.Tracer.StartDebug("cluster.consumer_start").
+		T0(c.engine.Now()).
 		Int("service", j).
-		F64("startup_delay", delay).
-		Emit()
+		F64("startup_delay", delay)
 	gen := c.generation
 	var ev *sim.Event
 	ev = c.engine.Schedule(delay, func() {
@@ -593,20 +587,28 @@ func (c *Cluster) startConsumerAfter(j int, delay float64) {
 		svc.removePendingStart(ev)
 		svc.available++
 		c.nodes.place()
-		c.rec.Debug("consumer_up").
-			T(float64(c.engine.Now())).
-			Int("service", j).
-			Int("available", svc.available).
-			Emit()
+		span.Int("available", svc.available).EndT(c.engine.Now())
 		c.dispatch(j)
 	})
-	svc.pendingStarts = append(svc.pendingStarts, ev)
+	svc.pendingStarts = append(svc.pendingStarts, pendingStart{ev: ev, span: span})
+}
+
+// pendingStart is one scheduled container start and its open
+// "cluster.consumer_start" span (nil when untraced).
+type pendingStart struct {
+	ev   *sim.Event
+	span *obs.Span
+}
+
+// cancel closes the start's span for a start abandoned before it came up.
+func (ps pendingStart) cancel(now float64) {
+	ps.span.Bool("cancelled", true).EndT(now)
 }
 
 // removePendingStart deletes ev from the pending-start list.
 func (svc *microservice) removePendingStart(ev *sim.Event) {
-	for i, e := range svc.pendingStarts {
-		if e == ev {
+	for i, ps := range svc.pendingStarts {
+		if ps.ev == ev {
 			svc.pendingStarts = append(svc.pendingStarts[:i], svc.pendingStarts[i+1:]...)
 			return
 		}
@@ -729,6 +731,9 @@ func (c *Cluster) Clear() {
 		c.touchBusy(svc)
 		svc.queue = nil
 		svc.busy = 0
+		for _, ps := range svc.pendingStarts {
+			ps.cancel(c.engine.Now())
+		}
 		svc.pendingStarts = nil
 		svc.inService = nil
 	}

@@ -44,7 +44,6 @@ func WithFaultMetrics(faultsTotal, crashed *obs.Counter) Option {
 func (c *Cluster) ScheduleFaults(plan faults.Plan) error {
 	if c.injector == nil {
 		in, err := faults.NewInjector(c.engine, c.cfg.Streams, c,
-			faults.WithRecorder(c.rec),
 			faults.WithTracer(c.cfg.Tracer),
 			faults.WithCounters(c.faultsTotal, c.crashed))
 		if err != nil {

@@ -93,11 +93,6 @@ type Config struct {
 	EvalHook func()
 	// Seed drives all randomness.
 	Seed int64
-	// Recorder, when non-nil, threads structured telemetry through the
-	// whole training stack: one info event per outer iteration here, plus
-	// debug events per model epoch and per DDPG minibatch update in the
-	// components it is wired into. Nil disables telemetry at zero cost.
-	Recorder *obs.Recorder
 	// CheckpointFn, when non-nil, runs at the end of every outer iteration
 	// with a freshly captured TrainState. Returning an error aborts
 	// training. The state shares the live dataset, so implementations must
@@ -116,11 +111,11 @@ type Config struct {
 	// Metrics, when non-nil, receives the self-healing counters
 	// miras_controller_rollback_total.
 	Metrics *obs.Registry
-	// Tracer, when non-nil, emits one span per outer iteration with child
-	// spans for the collect / model-fit / policy-improvement / health-guard
-	// / evaluate / checkpoint phases, propagated into the components (model
-	// fit epochs, DDPG updates, env windows). Nil disables tracing at zero
-	// cost.
+	// Tracer, when non-nil, emits one span per outer iteration (carrying
+	// the Algorithm 2 statistics of IterationStats) with child spans for
+	// the collect / model-fit / policy-improvement / health-guard /
+	// evaluate / checkpoint phases, propagated into the components (model
+	// fits, DDPG updates, env windows). Nil disables tracing at zero cost.
 	Tracer *obs.Tracer
 	// Profiler, when non-nil, captures a pprof profile when the health
 	// guard rolls the learner back — the anomaly is profiled at the moment
@@ -267,8 +262,6 @@ func newAgent(cfg Config) (*Agent, error) {
 	if err != nil {
 		return nil, err
 	}
-	model.SetRecorder(cfg.Recorder, "model")
-	ddpg.SetRecorder(cfg.Recorder)
 	model.SetTracer(cfg.Tracer)
 	ddpg.SetTracer(cfg.Tracer)
 	src := sim.NewSplitMix(uint64(cfg.Seed + 3))
@@ -539,9 +532,6 @@ func (a *Agent) Train() ([]IterationStats, error) {
 				a.cfg.Metrics.Counter("miras_controller_rollback_total",
 					"Training rollbacks to the last healthy checkpoint after learner divergence.").Inc()
 			}
-			if ev := a.cfg.Recorder.Event("rollback"); ev != nil {
-				ev.Int("iteration", iter).Str("cause", herr.Error()).Emit()
-			}
 			guardSpan.Bool("rolled_back", true).Str("cause", herr.Error())
 			a.cfg.Profiler.Trigger("divergence_rollback")
 		} else {
@@ -570,18 +560,15 @@ func (a *Agent) Train() ([]IterationStats, error) {
 			NoiseSigma:      a.ddpg.NoiseSigma(),
 			RolledBack:      rolledBack,
 		})
-		// One event per Algorithm 2 outer iteration — the Fig. 6 trace.
-		if ev := a.cfg.Recorder.Event("iteration"); ev != nil {
-			ev.Int("iteration", iter).
-				Int("dataset", a.dataset.Len()).
-				F64("model_loss", loss).
-				Int("policy_episodes", episodes).
-				F64("synthetic_return", synthReturn).
-				F64("eval_return", evalReturn).
-				F64("noise_sigma", a.ddpg.NoiseSigma()).
-				Uint("ddpg_updates", a.ddpg.Updates()).
-				Emit()
-		}
+		// The iteration span carries the Fig. 6 trace: Algorithm 2's
+		// per-iteration statistics.
+		iterSpan.Int("dataset", a.dataset.Len()).
+			F64("model_loss", loss).
+			Int("policy_episodes", episodes).
+			F64("synthetic_return", synthReturn).
+			F64("eval_return", evalReturn).
+			F64("noise_sigma", a.ddpg.NoiseSigma()).
+			Uint("ddpg_updates", a.ddpg.Updates())
 		if a.cfg.CheckpointFn != nil {
 			ckptSpan := a.cfg.Tracer.Start("train.checkpoint")
 			st := a.trainState(iter+1, stats, bestReturn, bestActor)

@@ -54,14 +54,17 @@ func newSpannedToyEnv(t *testing.T, seed int64, tracer *obs.Tracer) *env.Env {
 // on disk, named for the divergence_rollback trigger.
 func TestTrainRollbackTriggersProfile(t *testing.T) {
 	dir := t.TempDir()
-	prof, err := obs.NewProfileCapturer(obs.ProfileConfig{Dir: dir, MinInterval: time.Hour})
+	ring := obs.NewSpanRing(1 << 14)
+	tracer := obs.NewTracer(obs.TracerConfig{Ring: ring, SimTime: true})
+	prof, err := obs.NewProfileCapturer(obs.ProfileConfig{Dir: dir, MinInterval: time.Hour, Tracer: tracer})
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	e := newToyEnv(t, 41)
+	e := newSpannedToyEnv(t, 41, tracer)
 	cfg := tinyConfig(e, 41)
 	cfg.Profiler = prof
+	cfg.Tracer = tracer
 	var agent *Agent
 	cfg.CheckpointFn = func(iter int, st *TrainState) error {
 		if iter == 0 {
@@ -103,6 +106,36 @@ func TestTrainRollbackTriggersProfile(t *testing.T) {
 	}
 	if !found {
 		t.Fatalf("no divergence_rollback profile on disk: %v", entries)
+	}
+
+	// The rollback is on the trace: the poisoned iteration's health guard
+	// says why it rolled back, and the capture is a span under the same
+	// iteration.
+	var guards, captures []obs.SpanRecord
+	iterOf := map[string]int64{} // iteration span id -> iteration index
+	for _, r := range ring.Records() {
+		switch r.Name {
+		case "train.health_guard":
+			guards = append(guards, r)
+		case "profile.capture":
+			captures = append(captures, r)
+		case "train.iteration":
+			iterOf[r.ID] = r.Attrs["iteration"].(int64)
+		}
+	}
+	if len(guards) != len(stats) {
+		t.Fatalf("health_guard spans = %d, want %d", len(guards), len(stats))
+	}
+	for i, g := range guards {
+		if g.Attrs["rolled_back"] != stats[i].RolledBack {
+			t.Fatalf("health_guard %d rolled_back=%v, stats say %v", i, g.Attrs["rolled_back"], stats[i].RolledBack)
+		}
+	}
+	if cause, _ := guards[1].Attrs["cause"].(string); cause == "" || iterOf[guards[1].Parent] != 1 {
+		t.Fatalf("rolled-back guard span lacks its cause or iteration: %+v", guards[1])
+	}
+	if len(captures) != 1 || captures[0].Attrs["reason"] != "divergence_rollback" || iterOf[captures[0].Parent] != 1 {
+		t.Fatalf("want one divergence_rollback profile.capture span under iteration 1, got %+v", captures)
 	}
 }
 

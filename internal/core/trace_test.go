@@ -4,58 +4,22 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
-	"log/slog"
 	"testing"
 
-	"miras/internal/cluster"
-	"miras/internal/env"
 	"miras/internal/obs"
-	"miras/internal/sim"
-	"miras/internal/workflow"
-	"miras/internal/workload"
 )
 
-// newTracedToyEnv is newToyEnv with a recorder threaded into the cluster
-// and env layers, the way experiments.BuildHarness wires a Setup.Recorder.
-func newTracedToyEnv(t *testing.T, seed int64, rec *obs.Recorder) *env.Env {
-	t.Helper()
-	engine := sim.NewEngine()
-	streams := sim.NewStreams(seed)
-	c, err := cluster.New(cluster.Config{
-		Ensemble:        workflow.Toy(),
-		Engine:          engine,
-		Streams:         streams,
-		StartupDelayMin: 1,
-		StartupDelayMax: 2,
-		Recorder:        rec,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	gen, err := workload.NewGenerator(c, streams, engine, []float64{0.3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	gen.Start()
-	e, err := env.New(env.Config{
-		Cluster: c, Generator: gen, Budget: 6, WindowSec: 10, Recorder: rec,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return e
-}
-
 // TestTrainEmitsTelemetry runs a tiny Algorithm 2 loop with a debug
-// recorder attached and checks the full event chain arrives: per-iteration
-// info events, per-epoch model events, and per-minibatch DDPG events.
+// tracer attached and checks the full span chain arrives in the JSONL
+// sink: per-iteration spans carrying IterationStats, per-fit model spans
+// carrying every epoch's loss, per-minibatch DDPG spans, and env windows.
 func TestTrainEmitsTelemetry(t *testing.T) {
 	var buf bytes.Buffer
-	rec := obs.NewRecorder(&buf, slog.LevelDebug)
+	tracer := obs.NewTracer(obs.TracerConfig{Recorder: obs.NewRecorder(&buf), SimTime: true, Debug: true})
 
-	e := newTracedToyEnv(t, 9, rec)
+	e := newSpannedToyEnv(t, 9, tracer)
 	cfg := tinyConfig(e, 9)
-	cfg.Recorder = rec
+	cfg.Tracer = tracer
 	a, err := NewAgent(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -68,8 +32,7 @@ func TestTrainEmitsTelemetry(t *testing.T) {
 		t.Fatalf("got %d iterations, want %d", len(stats), cfg.Iterations)
 	}
 
-	counts := map[string]int{}
-	var iterations []map[string]any
+	byName := map[string][]map[string]any{}
 	sc := bufio.NewScanner(bytes.NewReader(buf.Bytes()))
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
 	for sc.Scan() {
@@ -77,42 +40,74 @@ func TestTrainEmitsTelemetry(t *testing.T) {
 		if err := json.Unmarshal(sc.Bytes(), &m); err != nil {
 			t.Fatalf("bad JSONL line %q: %v", sc.Text(), err)
 		}
-		msg, _ := m["msg"].(string)
-		counts[msg]++
-		if msg == "iteration" {
-			iterations = append(iterations, m)
+		if m["msg"] != "span" {
+			t.Fatalf("non-span record in the trace: %v", m)
 		}
+		name, _ := m["name"].(string)
+		byName[name] = append(byName[name], m)
 	}
 	if err := sc.Err(); err != nil {
 		t.Fatal(err)
 	}
 
-	if counts["iteration"] != cfg.Iterations {
-		t.Fatalf("iteration events = %d, want %d (all: %v)",
-			counts["iteration"], cfg.Iterations, counts)
+	iterations := byName["train.iteration"]
+	if len(iterations) != cfg.Iterations {
+		t.Fatalf("train.iteration spans = %d, want %d", len(iterations), cfg.Iterations)
 	}
-	// Every iteration fits the model for ModelEpochs epochs.
-	if want := cfg.Iterations * cfg.ModelEpochs; counts["model_epoch"] != want {
-		t.Fatalf("model_epoch events = %d, want %d", counts["model_epoch"], want)
+	// Every iteration fits the model once, for ModelEpochs epochs.
+	fits := byName["model.fit"]
+	if len(fits) != cfg.Iterations {
+		t.Fatalf("model.fit spans = %d, want %d", len(fits), cfg.Iterations)
 	}
-	if counts["ddpg_update"] == 0 {
-		t.Fatal("no ddpg_update events despite policy optimisation running")
+	for i, m := range fits {
+		losses, ok := m["epoch_loss"].([]any)
+		if !ok || len(losses) != cfg.ModelEpochs {
+			t.Fatalf("model.fit %d epoch_loss=%v, want %d losses", i, m["epoch_loss"], cfg.ModelEpochs)
+		}
+		if losses[len(losses)-1] != m["final_loss"] || losses[len(losses)-1] != stats[i].ModelLoss {
+			t.Fatalf("model.fit %d last epoch loss %v, final_loss %v, stats %g",
+				i, losses[len(losses)-1], m["final_loss"], stats[i].ModelLoss)
+		}
+		if m["dataset"] != float64(stats[i].DatasetSize) || m["epochs"] != float64(cfg.ModelEpochs) {
+			t.Fatalf("model.fit %d dataset/epochs wrong: %v", i, m)
+		}
 	}
-	// Real-environment interaction must be visible as window events.
-	if counts["env_window"] == 0 {
-		t.Fatal("no env_window events despite real collection and evaluation")
+	updates := byName["ddpg.update"]
+	if len(updates) == 0 {
+		t.Fatal("no ddpg.update spans despite policy optimisation running")
+	}
+	if uint64(len(updates)) != a.DDPG().Updates() {
+		t.Fatalf("ddpg.update spans = %d, agent ran %d updates", len(updates), a.DDPG().Updates())
+	}
+	for _, k := range []string{"update", "critic_loss", "mean_q", "replay", "sigma"} {
+		if _, ok := updates[0][k]; !ok {
+			t.Fatalf("ddpg.update span missing %q: %v", k, updates[0])
+		}
+	}
+	if updates[0]["level"] != "DEBUG" {
+		t.Fatalf("ddpg.update level %v, want DEBUG", updates[0]["level"])
+	}
+	// Real-environment interaction must be visible as window spans.
+	if len(byName["env.window"]) == 0 {
+		t.Fatal("no env.window spans despite real collection and evaluation")
 	}
 
-	// Iteration events mirror the returned IterationStats.
+	// Iteration spans mirror the returned IterationStats.
 	for i, m := range iterations {
-		if int(m["iteration"].(float64)) != stats[i].Iteration {
-			t.Fatalf("event %d iteration=%v, stats say %d", i, m["iteration"], stats[i].Iteration)
+		st := stats[i]
+		if m["iteration"] != float64(st.Iteration) || m["dataset"] != float64(st.DatasetSize) ||
+			m["model_loss"] != st.ModelLoss || m["policy_episodes"] != float64(st.PolicyEpisodes) ||
+			m["synthetic_return"] != st.SyntheticReturn || m["eval_return"] != st.EvalReturn ||
+			m["noise_sigma"] != st.NoiseSigma || m["rolled_back"] != st.RolledBack {
+			t.Fatalf("iteration span %d = %v, stats say %+v", i, m, st)
 		}
-		if int(m["dataset"].(float64)) != stats[i].DatasetSize {
-			t.Fatalf("event %d dataset=%v, stats say %d", i, m["dataset"], stats[i].DatasetSize)
-		}
-		if m["eval_return"].(float64) != stats[i].EvalReturn {
-			t.Fatalf("event %d eval_return=%v, stats say %g", i, m["eval_return"], stats[i].EvalReturn)
-		}
+	}
+	// ddpg_updates is the running update count at the end of each iteration.
+	last := iterations[len(iterations)-1]
+	if last["ddpg_updates"] != float64(a.DDPG().Updates()) {
+		t.Fatalf("last iteration ddpg_updates=%v, agent ran %d", last["ddpg_updates"], a.DDPG().Updates())
+	}
+	if first := iterations[0]["ddpg_updates"].(float64); first <= 0 || first > last["ddpg_updates"].(float64) {
+		t.Fatalf("first iteration ddpg_updates=%v, want in (0, %v]", first, last["ddpg_updates"])
 	}
 }

@@ -41,13 +41,12 @@ type Config struct {
 	// Budget is the total consumer constraint C (14 for MSD, 30 for LIGO
 	// in the paper, §VI-A4). Required, positive.
 	Budget int
-	// Recorder, when non-nil, emits one structured event per control
-	// window (action, end-of-window WIP, reward) and one per rejected
-	// action. Nil disables telemetry at zero cost.
-	Recorder *obs.Recorder
 	// Tracer, when non-nil, emits one "env.window" span per Step covering
-	// the virtual control window, with the cluster's scale actuation and
-	// any fault episodes activated inside the window parented under it.
+	// the virtual control window — the (s, a, r) triple of §IV-B plus the
+	// delay observable of Fig. 6 — with the cluster's scale actuation and
+	// any fault episodes activated inside the window parented under it,
+	// and one zero-duration "env.constraint_violation" span per rejected
+	// action.
 	// Step installs the span as the tracer's ambient parent for the
 	// window's duration, so a Tracer must not be shared by envs stepping
 	// concurrently (the HTTP server leaves session envs untraced for this
@@ -270,18 +269,18 @@ func (e *Env) Step(m []int) (StepResult, error) {
 	}
 	if total > e.cfg.Budget {
 		e.violations++
-		if ev := e.cfg.Recorder.Event("constraint_violation"); ev != nil {
-			ev.T(e.cfg.Cluster.Now()).
-				Int("window", e.window).
-				Ints("action", m).
-				Int("total", total).
-				Int("budget", e.cfg.Budget).
-				Emit()
-		}
+		now := e.cfg.Cluster.Now()
+		e.cfg.Tracer.Start("env.constraint_violation").
+			T0(now).
+			Int("window", e.window).
+			Ints("action", m).
+			Int("total", total).
+			Int("budget", e.cfg.Budget).
+			EndT(now)
 		return StepResult{}, fmt.Errorf("env: allocation total %d exceeds budget %d", total, e.cfg.Budget)
 	}
 	c := e.cfg.Cluster
-	winSpan := e.cfg.Tracer.Start("env.window").T0(c.Now()).Int("window", e.window)
+	winSpan := e.cfg.Tracer.Start("env.window").T0(c.Now()).Int("window", e.window).Ints("action", m)
 	restoreParent := e.cfg.Tracer.SetParent(winSpan)
 	if err := c.SetConsumers(m); err != nil {
 		restoreParent()
@@ -310,18 +309,12 @@ func (e *Env) Step(m []int) (StepResult, error) {
 		sum += w
 	}
 	res := StepResult{State: e.observe(wip), Reward: 1 - sum, Stats: stats}
-	winSpan.F64("reward", res.Reward).EndT(c.Now())
-	// One event per window: the (s, a, r) triple of §IV-B plus the
-	// delay observable the paper's evaluation plots (Fig. 6).
-	if ev := e.cfg.Recorder.Event("env_window"); ev != nil {
-		ev.T(c.Now()).
-			Int("window", stats.Window).
-			Ints("action", m).
+	if winSpan != nil {
+		winSpan.F64("reward", res.Reward).
 			F64s("wip", wip).
-			F64("reward", res.Reward).
 			F64("mean_delay", stats.MeanDelay()).
 			Int("completed", len(stats.Completions)).
-			Emit()
+			EndT(c.Now())
 	}
 	return res, nil
 }

@@ -5,7 +5,6 @@ import (
 	"math"
 
 	"miras/internal/mat"
-	"miras/internal/obs"
 	"miras/internal/parallel"
 )
 
@@ -20,7 +19,6 @@ type ModelEnsemble struct {
 	models []*Model
 	// scratch holds one member's prediction during aggregation.
 	scratch []float64
-	rec     *obs.Recorder
 }
 
 // Compile-time interface check: an ensemble is a drop-in Predictor.
@@ -43,18 +41,6 @@ func NewEnsemble(cfg Config, k int) (*ModelEnsemble, error) {
 	}
 	e.scratch = make([]float64, cfg.StateDim)
 	return e, nil
-}
-
-// SetRecorder attaches a telemetry recorder to the ensemble and every
-// member. Members are tagged "m0", "m1", ... in their per-epoch events;
-// the recorder's writer is lock-protected, so concurrent member fits are
-// safe. Each Fit additionally emits one info event per member with its
-// final loss.
-func (e *ModelEnsemble) SetRecorder(r *obs.Recorder) {
-	e.rec = r
-	for i, m := range e.models {
-		m.SetRecorder(r, fmt.Sprintf("m%d", i))
-	}
 }
 
 // Size returns the number of member models.
@@ -92,13 +78,6 @@ func (e *ModelEnsemble) Fit(d *Dataset, epochs int) ([]float64, error) {
 	})
 	if err != nil {
 		return nil, err
-	}
-	if ev := e.rec.Event("ensemble_fit"); ev != nil {
-		ev.Int("members", len(e.models)).
-			Int("epochs", epochs).
-			Int("dataset", d.Len()).
-			F64s("final_loss", finals).
-			Emit()
 	}
 	return finals, nil
 }

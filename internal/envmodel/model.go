@@ -82,8 +82,6 @@ type Model struct {
 	lossBuf        []float64
 	fitIn, fitOut  *Normalizer
 
-	rec    *obs.Recorder
-	recTag string
 	tracer *obs.Tracer
 }
 
@@ -132,16 +130,9 @@ func New(cfg Config) (*Model, error) {
 	return m, nil
 }
 
-// SetRecorder attaches a telemetry recorder; Fit then emits one debug
-// event per epoch, labelled with tag (e.g. the ensemble member name). A
-// nil recorder keeps Fit's hot loop allocation-free.
-func (m *Model) SetRecorder(r *obs.Recorder, tag string) {
-	m.rec = r
-	m.recTag = tag
-}
-
 // SetTracer attaches a span tracer; Fit then emits one "model.fit" span per
-// call (tagged like SetRecorder's events). A nil tracer costs nothing.
+// call carrying the dataset size and every epoch's loss. A nil tracer
+// keeps Fit's hot loop allocation-free.
 func (m *Model) SetTracer(t *obs.Tracer) { m.tracer = t }
 
 // StateDim returns the model's state width.
@@ -174,7 +165,6 @@ func (m *Model) Fit(d *Dataset, epochs int) ([]float64, error) {
 	m.fitNormalizers(d)
 
 	fitSpan := m.tracer.Start("model.fit").
-		Str("model", m.recTag).
 		Int("dataset", d.Len()).
 		Int("epochs", epochs)
 
@@ -216,15 +206,9 @@ func (m *Model) Fit(d *Dataset, epochs int) ([]float64, error) {
 			epochLoss += batchLoss / float64(len(batch))
 		}
 		losses = append(losses, epochLoss/float64(stepsPerEpoch))
-		m.rec.Debug("model_epoch").
-			Str("model", m.recTag).
-			Int("epoch", e).
-			F64("loss", losses[e]).
-			Int("dataset", d.Len()).
-			Emit()
 	}
 	m.lossBuf = losses
-	fitSpan.F64("final_loss", losses[len(losses)-1]).End()
+	fitSpan.F64("final_loss", losses[len(losses)-1]).F64s("epoch_loss", losses).End()
 	return losses, nil
 }
 

@@ -34,7 +34,6 @@ func mirasConfig(s Setup, h *Harness) core.Config {
 		EvalSteps:         s.EvalSteps,
 		PolicyEpisodes:    s.PolicyEpisodes,
 		Seed:              s.Seed + 21,
-		Recorder:          s.Recorder,
 		Tracer:            s.Tracer,
 		Profiler:          s.Profiler,
 	}

@@ -65,17 +65,15 @@ type Setup struct {
 	TrainBurstMax []int
 	// Seed roots all randomness.
 	Seed int64
-	// Recorder, when non-nil, is threaded into every harness this Setup
-	// builds (cluster scaling, env windows) and into the training agents
-	// (model epochs, DDPG updates, Algorithm 2 iterations). The CLI tools
-	// populate it from -trace-out; nil disables telemetry at zero cost.
-	Recorder *obs.Recorder
-	// Tracer, when non-nil, threads causal spans through the same stack the
-	// Recorder covers: training iterations with phase children, env control
-	// windows, cluster scale actuations, fault episodes. BuildHarness
-	// points the tracer's clock at the harness engine so spans carry
-	// virtual timestamps; with SimTime set, seeded traces are
-	// byte-identical across runs. Nil disables tracing at zero cost.
+	// Tracer, when non-nil, is threaded into every harness this Setup
+	// builds (env control windows, cluster scale actuations, fault
+	// episodes) and into the training agents (Algorithm 2 iterations with
+	// phase children, model fits, DDPG updates). The CLI tools build it
+	// from -trace-out with obs.OpenTracer. BuildHarness points the tracer's
+	// clock at the harness engine so spans carry virtual timestamps; with
+	// SimTime set, seeded traces are byte-identical across runs, and the
+	// fan-out experiments run their points sequentially to keep them so.
+	// Nil disables tracing at zero cost.
 	Tracer *obs.Tracer
 	// Profiler, when non-nil, captures pprof profiles when training
 	// anomalies fire (divergence rollbacks).
@@ -253,7 +251,6 @@ func BuildHarness(s Setup, seedOffset int64, copts ...cluster.Option) (*Harness,
 		Ensemble: ens,
 		Engine:   engine,
 		Streams:  streams,
-		Recorder: s.Recorder,
 		Tracer:   s.Tracer,
 	}, copts...)
 	if err != nil {
@@ -273,7 +270,6 @@ func BuildHarness(s Setup, seedOffset int64, copts ...cluster.Option) (*Harness,
 		Generator: gen,
 		WindowSec: s.WindowSec,
 		Budget:    s.Budget,
-		Recorder:  s.Recorder,
 		Tracer:    s.Tracer,
 	})
 	if err != nil {

@@ -55,15 +55,15 @@ func BudgetSweep(s Setup, algorithms []string, budgets []int) (*BudgetSweepResul
 	}
 	// Every (algorithm, budget) point is an independent run — fresh
 	// harness, fresh controller, randomness rooted in the point's own
-	// Setup — so the grid fans out across the worker pool and lands in
-	// index-addressed slots, keeping the output identical to a sequential
-	// sweep.
+	// Setup — so the grid fans out across the worker pool (unless traced,
+	// see fanOut) and lands in index-addressed slots, keeping the output
+	// identical to a sequential sweep.
 	type point struct {
 		delay float64
 		done  int
 	}
 	points := make([]point, len(algorithms)*len(budgets))
-	err = parallel.For(len(points), func(idx int) error {
+	err = fanOut(s, len(points), func(idx int) error {
 		name := algorithms[idx/len(budgets)]
 		b := budgets[idx%len(budgets)]
 		sb := s
@@ -97,22 +97,40 @@ func BudgetSweep(s Setup, algorithms []string, budgets []int) (*BudgetSweepResul
 	return res, nil
 }
 
+// fanOut runs fn(0) … fn(n−1) on the worker pool, or — when s carries a
+// tracer — in index order on the calling goroutine, stopping at the first
+// error. The tracer's clock and ambient parent belong to one goroutine, and
+// sequential span ids are what make a sim-time trace byte-identical across
+// runs and GOMAXPROCS; untraced runs keep the parallel speed.
+func fanOut(s Setup, n int, fn func(i int) error) error {
+	if s.Tracer == nil {
+		return parallel.For(n, fn)
+	}
+	for i := 0; i < n; i++ {
+		if err := fn(i); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // MultiSeedTable reruns a table-producing experiment across seeds and
 // aggregates each series pointwise into mean and mean±std bands — honest
 // error bars for stochastic experiments. Series are matched by name; all
 // runs must produce the same series set.
 //
-// Seeds fan out across the worker pool, so run must be safe for concurrent
-// invocation with distinct Setups (every experiment driver in this package
-// is: all state is built fresh from the Setup). Each run's randomness is
-// rooted in its own seed and results are aggregated in seed order, so the
-// table is bit-for-bit identical to a sequential loop over the seeds.
+// Seeds fan out across the worker pool (unless traced, see fanOut), so run
+// must be safe for concurrent invocation with distinct Setups (every
+// experiment driver in this package is: all state is built fresh from the
+// Setup). Each run's randomness is rooted in its own seed and results are
+// aggregated in seed order, so the table is bit-for-bit identical to a
+// sequential loop over the seeds.
 func MultiSeedTable(base Setup, seeds []int64, run func(Setup) (*trace.Table, error)) (*trace.Table, error) {
 	if len(seeds) == 0 {
 		return nil, fmt.Errorf("experiments: no seeds")
 	}
 	tables := make([]*trace.Table, len(seeds))
-	err := parallel.For(len(seeds), func(i int) error {
+	err := fanOut(base, len(seeds), func(i int) error {
 		s := base
 		s.Seed = seeds[i]
 		t, err := run(s)

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"bytes"
-	"log/slog"
 	"runtime"
 	"strings"
 	"testing"
@@ -12,7 +11,8 @@ import (
 
 // TestTrainingSpanTraceByteIdentical pins the tracing determinism
 // guarantee: a seeded training run in sim-time mode emits a byte-identical
-// span trace every run, at any GOMAXPROCS. Wall-clock fields are stripped
+// span trace every run, at any GOMAXPROCS — including the debug-level
+// DDPG update and consumer start-up spans. Wall-clock fields are stripped
 // and span ids are allocated sequentially on the single training goroutine,
 // so nothing in the trace depends on scheduling or real time.
 func TestTrainingSpanTraceByteIdentical(t *testing.T) {
@@ -23,8 +23,9 @@ func TestTrainingSpanTraceByteIdentical(t *testing.T) {
 		var buf bytes.Buffer
 		s := toySetup(t)
 		s.Tracer = obs.NewTracer(obs.TracerConfig{
-			Recorder: obs.NewRecorder(&buf, slog.LevelDebug),
+			Recorder: obs.NewRecorder(&buf),
 			SimTime:  true,
+			Debug:    true,
 		})
 		if _, err := TrainingTrace(s); err != nil {
 			t.Fatal(err)
@@ -44,6 +45,11 @@ func TestTrainingSpanTraceByteIdentical(t *testing.T) {
 	if a != c {
 		t.Fatal("seeded span trace differs across GOMAXPROCS")
 	}
+	for _, line := range strings.Split(strings.TrimSuffix(a, "\n"), "\n") {
+		if !strings.Contains(line, `"msg":"span"`) {
+			t.Fatalf("non-span record in the trace: %s", line)
+		}
+	}
 	for _, name := range []string{
 		`"msg":"span"`,
 		`"name":"train.iteration"`,
@@ -55,6 +61,14 @@ func TestTrainingSpanTraceByteIdentical(t *testing.T) {
 		`"name":"model.fit"`,
 		`"name":"env.window"`,
 		`"name":"cluster.scale"`,
+		`"name":"ddpg.update"`,
+		`"name":"cluster.consumer_start"`,
+		`"eval_return":`,
+		`"ddpg_updates":`,
+		`"wip":[`,
+		`"queues":[`,
+		`"epoch_loss":[`,
+		`"mean_q":`,
 	} {
 		if !strings.Contains(a, name) {
 			t.Fatalf("trace missing %s", name)

@@ -1,9 +1,11 @@
 package faults
 
 import (
+	"bufio"
 	"bytes"
+	"encoding/json"
 	"fmt"
-	"log/slog"
+	"strings"
 	"testing"
 
 	"miras/internal/obs"
@@ -291,14 +293,20 @@ func TestPlansCompose(t *testing.T) {
 }
 
 // TestInjectorDeterminism drives the same plan twice from equal seeds and
-// requires byte-identical recorder traces and identical target call logs.
+// requires byte-identical span traces and identical target call logs. The
+// trace must carry each fault window as a "fault.episode" span and each
+// crash as a zero-duration "fault.consumer_crash" span.
 func TestInjectorDeterminism(t *testing.T) {
 	run := func() (string, string) {
 		var buf bytes.Buffer
-		rec := obs.NewRecorder(&buf, slog.LevelDebug)
 		engine := sim.NewEngine()
+		tracer := obs.NewTracer(obs.TracerConfig{
+			Recorder: obs.NewRecorder(&buf),
+			SimTime:  true,
+			Clock:    func() float64 { return engine.Now() },
+		})
 		target := &fakeTarget{services: 3}
-		in, err := NewInjector(engine, sim.NewStreams(42), target, WithRecorder(rec))
+		in, err := NewInjector(engine, sim.NewStreams(42), target, WithTracer(tracer))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -317,12 +325,76 @@ func TestInjectorDeterminism(t *testing.T) {
 	trace1, calls1 := run()
 	trace2, calls2 := run()
 	if trace1 != trace2 {
-		t.Fatal("recorder traces differ between identical seeded runs")
+		t.Fatal("span traces differ between identical seeded runs")
 	}
 	if calls1 != calls2 {
 		t.Fatalf("target call logs differ:\n%s\n%s", calls1, calls2)
 	}
-	if len(trace1) == 0 {
-		t.Fatal("recorder captured nothing")
+
+	var crashes int
+	episodes := map[float64]map[string]any{} // fault id -> episode span
+	sc := bufio.NewScanner(strings.NewReader(trace1))
+	for sc.Scan() {
+		var m map[string]any
+		if err := json.Unmarshal(sc.Bytes(), &m); err != nil {
+			t.Fatalf("bad JSONL line %q: %v", sc.Text(), err)
+		}
+		switch m["name"] {
+		case "fault.consumer_crash":
+			crashes++
+			for _, k := range []string{"fault", "service", "restart_delay", "killed"} {
+				if _, ok := m[k]; !ok {
+					t.Fatalf("consumer_crash span missing %q: %v", k, m)
+				}
+			}
+			if m["fault"] != 0.0 || m["t0"] != m["t1"] || m["restart_delay"].(float64) <= 0 {
+				t.Fatalf("consumer_crash span wrong: %v", m)
+			}
+		case "fault.episode":
+			episodes[m["fault"].(float64)] = m
+		}
+	}
+	if crashes == 0 {
+		t.Fatal("trace has no fault.consumer_crash spans")
+	}
+	if len(episodes) != 4 {
+		t.Fatalf("trace has %d fault.episode spans, want 4", len(episodes))
+	}
+	slow := episodes[1]
+	if slow["kind"] != string(Slowdown) || slow["service"] != 1.0 || slow["factor"] != 4.0 ||
+		slow["t0"] != 30.0 || slow["t1"] != 90.0 || slow["until"] != 90.0 {
+		t.Fatalf("slowdown episode span wrong: %v", slow)
+	}
+}
+
+// TestOpenEndedEpisodeSpan pins the trace of a fault that never ends: its
+// "fault.episode" span closes at activation with until 0, so the fault
+// still appears in the trace.
+func TestOpenEndedEpisodeSpan(t *testing.T) {
+	ring := obs.NewSpanRing(64)
+	engine := sim.NewEngine()
+	tracer := obs.NewTracer(obs.TracerConfig{Ring: ring, Clock: func() float64 { return engine.Now() }})
+	in, err := NewInjector(engine, sim.NewStreams(1), &fakeTarget{services: 2}, WithTracer(tracer))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := in.Schedule(Plan{Specs: []Spec{{Kind: Crash, Service: 0, StartSec: 7, MTTFSec: 20}}}); err != nil {
+		t.Fatal(err)
+	}
+	engine.RunUntil(100)
+	recs := ring.Records()
+	if len(recs) < 2 || recs[0].Name != "fault.episode" {
+		t.Fatalf("want a fault.episode span, then crashes; got %+v", recs)
+	}
+	if r := recs[0]; r.T0 != 7 || r.T1 != 7 || r.Attrs["until"] != 0.0 || r.Attrs["kind"] != string(Crash) {
+		t.Fatalf("open-ended episode span wrong: %+v", r)
+	}
+	for _, r := range recs[1:] {
+		if r.Name != "fault.consumer_crash" {
+			t.Fatalf("unexpected span after the episode: %+v", r)
+		}
+	}
+	if len(in.Active()) != 1 {
+		t.Fatal("open-ended fault should stay active")
 	}
 }

@@ -40,7 +40,6 @@ type Injector struct {
 	engine  *sim.Engine
 	streams *sim.Streams
 	target  Target
-	rec     *obs.Recorder
 	tracer  *obs.Tracer
 	// spans holds the open "fault.episode" span per active fault id; nil
 	// entries never occur (a nil tracer yields nil spans, which are not
@@ -63,15 +62,12 @@ type Injector struct {
 // Option configures an Injector.
 type Option func(*Injector)
 
-// WithRecorder routes fault lifecycle events (fault_begin, fault_end,
-// consumer_crash) to rec.
-func WithRecorder(rec *obs.Recorder) Option {
-	return func(in *Injector) { in.rec = rec }
-}
-
-// WithTracer emits one "fault.episode" span per fault window: opened at
+// WithTracer emits one "fault.episode" span per fault window — opened at
 // activation, closed at deactivation, carrying the spec's kind / service /
-// factor. A nil tracer disables fault spans at zero cost.
+// factor / until — and one zero-duration "fault.consumer_crash" span per
+// crash. An open-ended episode (until 0) never deactivates, so its span
+// closes at activation instead. A nil tracer disables fault spans at zero
+// cost.
 func WithTracer(t *obs.Tracer) Option {
 	return func(in *Injector) { in.tracer = t }
 }
@@ -203,13 +199,14 @@ func (in *Injector) armCrash(id int, sp Spec) {
 			in.crashes++
 			in.count(in.crashed)
 		}
-		in.rec.Event("consumer_crash").
-			T(in.engine.Now()).
+		now := in.engine.Now()
+		in.tracer.Start("fault.consumer_crash").
+			T0(now).
 			Int("fault", id).
 			Int("service", j).
 			F64("restart_delay", restart).
 			Bool("killed", err == nil).
-			Emit()
+			EndT(now)
 		in.reschedule(id, fire, sim.Exponential(rng, sp.MTTFSec), end)
 	}
 	in.engine.Schedule(sp.StartSec, func() {
@@ -294,20 +291,18 @@ func (in *Injector) activate(id int, sp Spec, untilSec float64) {
 		UntilSec: untilSec,
 		Factor:   sp.Factor,
 	}
-	in.rec.Event("fault_begin").
-		T(in.engine.Now()).
-		Int("fault", id).
-		Str("kind", string(sp.Kind)).
-		Int("service", sp.Service).
-		F64("factor", sp.Factor).
-		F64("until", untilSec).
-		Emit()
-	if span := in.tracer.Start("fault.episode").
+	span := in.tracer.Start("fault.episode").
 		T0(in.engine.Now()).
 		Int("fault", id).
 		Str("kind", string(sp.Kind)).
 		Int("service", sp.Service).
-		F64("factor", sp.Factor); span != nil {
+		F64("factor", sp.Factor).
+		F64("until", untilSec)
+	switch {
+	case span == nil:
+	case untilSec == 0:
+		span.EndT(in.engine.Now())
+	default:
 		if in.spans == nil {
 			in.spans = make(map[int]*obs.Span)
 		}
@@ -320,10 +315,6 @@ func (in *Injector) deactivate(id int) {
 		return
 	}
 	delete(in.active, id)
-	in.rec.Event("fault_end").
-		T(in.engine.Now()).
-		Int("fault", id).
-		Emit()
 	if span, ok := in.spans[id]; ok {
 		delete(in.spans, id)
 		span.EndT(in.engine.Now())

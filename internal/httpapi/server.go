@@ -179,8 +179,6 @@ type Server struct {
 	// gauges, per-shard occupancy gauges, and fault counters. Scrape it via
 	// Registry().Handler() or obs.MountDebug.
 	reg *obs.Registry
-	// rec, when set, receives every session's simulation events.
-	rec *obs.Recorder
 	// tracer, when set, emits one root span per request — joining an
 	// incoming W3C traceparent header when present — with child spans for
 	// the session work (decide / step / restore). The response carries a
@@ -273,12 +271,6 @@ func WithSpillDir(dir string) Option {
 // (so one registry can aggregate several subsystems).
 func WithRegistry(reg *obs.Registry) Option {
 	return func(s *Server) { s.reg = reg }
-}
-
-// WithRecorder routes every session's simulation events (window steps,
-// consumer lifecycle, fault injections) to rec.
-func WithRecorder(rec *obs.Recorder) Option {
-	return func(s *Server) { s.rec = rec }
 }
 
 // WithTracer emits request-scoped spans: a root span per request (joining
@@ -676,7 +668,7 @@ func (s *Server) buildSystem(req CreateRequest, faultsTotal, crashed *obs.Counte
 		copts = append(copts, cluster.WithFaultPlan(*req.Faults))
 	}
 	c, err := cluster.New(cluster.Config{
-		Ensemble: ens, Engine: engine, Streams: streams, Recorder: s.rec,
+		Ensemble: ens, Engine: engine, Streams: streams,
 	}, copts...)
 	if err != nil {
 		code := CodeBadSessionConfig
@@ -699,7 +691,6 @@ func (s *Server) buildSystem(req CreateRequest, faultsTotal, crashed *obs.Counte
 		Generator:    gen,
 		Budget:       req.Budget,
 		WindowSec:    req.WindowSec,
-		Recorder:     s.rec,
 		FailureAware: req.FailureAware,
 	})
 	if err != nil {

@@ -1,17 +1,19 @@
 // Package obs is the runtime observability layer: a stdlib-only metrics
 // registry rendered in Prometheus text exposition format, and a
-// sim-time-aware structured event recorder (JSONL over log/slog).
+// sim-time-aware span tracer whose finished spans stream as JSONL (over
+// log/slog) and into an in-memory ring.
 //
 // The registry serves the ROADMAP's production-server goal: counters,
 // gauges, and fixed-bucket histograms safe for concurrent use, scraped from
-// miras-server's /metrics endpoint. The recorder serves the paper's
+// miras-server's /metrics endpoint. The tracer serves the paper's
 // evaluation methodology (§VI): every per-window observable the controller
-// sees — WIP vectors, allocations, rewards, model losses — can be written
-// as a replayable JSONL trace.
+// sees — WIP vectors, allocations, rewards, model losses — rides a span
+// and can be written as a replayable JSONL trace.
 //
-// Everything is nil-safe: a nil *Recorder swallows events with zero
-// allocations, so instrumented hot paths (rl.DDPG.Update, envmodel.Model.Fit)
-// cost one pointer comparison when observability is off.
+// Everything is nil-safe: a nil *Tracer hands out nil spans that swallow
+// attributes with zero allocations, so instrumented hot paths
+// (rl.DDPG.Update, envmodel.Model.Fit) cost one pointer comparison when
+// observability is off.
 package obs
 
 import (

@@ -3,7 +3,7 @@
 // the ProfileCapturer writes pprof heap (and optionally CPU) profiles into
 // a size-capped directory, so the evidence exists before anyone tries to
 // reproduce the incident. Captures are rate-limited and bounded; a nil
-// capturer is a no-op, mirroring the nil Recorder/Tracer discipline.
+// capturer is a no-op, mirroring the nil Tracer discipline.
 
 package obs
 
@@ -33,8 +33,9 @@ type ProfileConfig struct {
 	// Zero disables CPU capture (heap only) — tests use this to stay fast
 	// and to avoid fighting over the process-wide CPU profiler.
 	CPUDuration time.Duration
-	// Recorder, if set, gets a "profile_capture" event per capture.
-	Recorder *Recorder
+	// Tracer, if set, gets one zero-duration "profile.capture" span per
+	// capture.
+	Tracer *Tracer
 }
 
 // ProfileCapturer writes rate-limited pprof captures on anomaly triggers.
@@ -131,11 +132,11 @@ func (p *ProfileCapturer) Trigger(reason string) bool {
 	}
 	p.enforceCap()
 
-	ev := p.cfg.Recorder.Event("profile_capture").Str("reason", reason).Str("file", base).Bool("cpu", cpu)
+	sp := p.cfg.Tracer.Start("profile.capture").Str("reason", reason).Str("file", base).Bool("cpu", cpu)
 	if heapErr != nil {
-		ev = ev.Str("heap_error", heapErr.Error())
+		sp.Str("heap_error", heapErr.Error())
 	}
-	ev.Emit()
+	sp.End()
 	return true
 }
 

@@ -2,7 +2,6 @@ package obs
 
 import (
 	"bytes"
-	"log/slog"
 	"os"
 	"path/filepath"
 	"strings"
@@ -39,8 +38,8 @@ func TestProfileCapturerNilSafe(t *testing.T) {
 func TestProfileCapturerWritesHeap(t *testing.T) {
 	dir := t.TempDir()
 	var buf bytes.Buffer
-	rec := NewRecorder(&buf, slog.LevelInfo)
-	p, err := NewProfileCapturer(ProfileConfig{Dir: dir, MinInterval: time.Hour, Recorder: rec})
+	tr := NewTracer(TracerConfig{Recorder: NewRecorder(&buf)})
+	p, err := NewProfileCapturer(ProfileConfig{Dir: dir, MinInterval: time.Hour, Tracer: tr})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,8 +62,16 @@ func TestProfileCapturerWritesHeap(t *testing.T) {
 	if info.Size() == 0 {
 		t.Fatal("heap profile is empty")
 	}
-	if !strings.Contains(buf.String(), `"msg":"profile_capture"`) {
-		t.Fatalf("no profile_capture event recorded: %s", buf.String())
+	lines := decodeLines(t, &buf)
+	if len(lines) != 1 || lines[0]["msg"] != "span" || lines[0]["name"] != "profile.capture" {
+		t.Fatalf("want one profile.capture span, got %v", lines)
+	}
+	if c := lines[0]; c["reason"] != "divergence_rollback" || c["cpu"] != false ||
+		!strings.HasPrefix(files[0], c["file"].(string)) {
+		t.Fatalf("profile.capture attrs %v do not describe capture %q", c, files[0])
+	}
+	if _, ok := lines[0]["heap_error"]; ok {
+		t.Fatalf("successful capture reported heap_error: %v", lines[0])
 	}
 }
 

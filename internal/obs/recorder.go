@@ -2,28 +2,24 @@ package obs
 
 import (
 	"bufio"
-	"context"
 	"fmt"
 	"io"
 	"log/slog"
 	"os"
+	"strings"
 	"sync"
 )
 
-// Recorder writes structured control-loop events as JSON lines through a
-// log/slog JSONHandler. Events carry virtual (simulation) time via T, not
-// wall-clock time — the handler strips slog's time attribute so traces are
-// deterministic and replayable.
+// Recorder is the Tracer's JSONL sink: each finished span becomes one
+// "span" line written through a log/slog JSONHandler. The handler strips
+// slog's wall-clock time attribute, so a sim-time trace carries virtual
+// timestamps only and replays byte for byte.
 //
-// A nil *Recorder is valid and fully disabled: every method is a nil check,
-// and the event-builder chain allocates nothing, so hot paths can stay
-// instrumented unconditionally.
-//
-// Recorder is safe for concurrent use; each event is written as one line.
+// Recorder has no level of its own: the Tracer's Debug flag is the one
+// gate deciding which spans exist. A nil *Recorder discards everything.
+// Safe for concurrent use; each span is written as one line.
 type Recorder struct {
 	logger *slog.Logger
-	level  slog.Level
-	pool   sync.Pool
 	out    *lockedWriter
 }
 
@@ -43,12 +39,11 @@ func (l *lockedWriter) Write(p []byte) (int, error) {
 	return l.w.Write(p)
 }
 
-// NewRecorder returns a recorder writing JSONL events at or above level
-// to w.
-func NewRecorder(w io.Writer, level slog.Level) *Recorder {
+// NewRecorder returns a sink writing one JSON line per span to w.
+func NewRecorder(w io.Writer) *Recorder {
 	out := &lockedWriter{w: w}
 	h := slog.NewJSONHandler(out, &slog.HandlerOptions{
-		Level: level,
+		Level: slog.LevelDebug,
 		ReplaceAttr: func(groups []string, a slog.Attr) slog.Attr {
 			if len(groups) == 0 && a.Key == slog.TimeKey {
 				return slog.Attr{} // drop wall time: traces must be replayable
@@ -56,49 +51,21 @@ func NewRecorder(w io.Writer, level slog.Level) *Recorder {
 			return a
 		},
 	})
-	r := &Recorder{logger: slog.New(h), level: level, out: out}
-	r.pool.New = func() any { return &Event{attrs: make([]slog.Attr, 0, 16)} }
-	return r
+	return &Recorder{logger: slog.New(h), out: out}
 }
 
-// FileRecorder opens path (truncating) and returns a buffered recorder at
-// the named level ("debug", "info", "warn", "error"). An empty path returns
-// a nil (disabled) recorder with no error — the CLI -trace-out contract.
+// fileRecorder creates (truncating) path and returns a buffered sink whose
 // Close flushes and closes the file.
-func FileRecorder(path, level string) (*Recorder, error) {
-	lvl, err := ParseLevel(level)
-	if err != nil {
-		return nil, err
-	}
-	if path == "" {
-		return nil, nil
-	}
+func fileRecorder(path string) (*Recorder, error) {
 	f, err := os.Create(path)
 	if err != nil {
 		return nil, fmt.Errorf("obs: open trace file: %w", err)
 	}
 	bw := bufio.NewWriterSize(f, 1<<16)
-	r := NewRecorder(bw, lvl)
+	r := NewRecorder(bw)
 	r.out.flush = bw.Flush
 	r.out.close = f.Close
 	return r, nil
-}
-
-// ParseLevel parses a slog level name ("debug", "info", "warn", "error",
-// case-insensitive, with optional +N/-N offsets as in slog).
-func ParseLevel(s string) (slog.Level, error) {
-	var l slog.Level
-	if err := l.UnmarshalText([]byte(s)); err != nil {
-		return 0, fmt.Errorf("obs: bad log level %q (debug, info, warn, error)", s)
-	}
-	return l, nil
-}
-
-// Enabled reports whether events at lvl would be recorded. A nil recorder
-// is never enabled; use it to guard instrumentation that must build slices
-// or other allocating arguments.
-func (r *Recorder) Enabled(lvl slog.Level) bool {
-	return r != nil && lvl >= r.level
 }
 
 // Close flushes buffered output and closes the underlying file, if any.
@@ -120,108 +87,28 @@ func (r *Recorder) Close() error {
 	return nil
 }
 
-// Event starts an info-level event named name, or returns nil (all builder
-// methods no-op) when disabled.
-func (r *Recorder) Event(name string) *Event { return r.at(slog.LevelInfo, name) }
-
-// Debug starts a debug-level event — the level used by per-step hot-path
-// telemetry (DDPG updates, model epochs, consumer lifecycle).
-func (r *Recorder) Debug(name string) *Event { return r.at(slog.LevelDebug, name) }
-
-func (r *Recorder) at(lvl slog.Level, name string) *Event {
-	if r == nil || lvl < r.level {
-		return nil
+// OpenTracer builds the tracer behind a CLI's -trace-out and -log-level
+// flags. level must be "debug" (which also turns on the StartDebug spans)
+// or "info"; anything else is an error, because a trace holds only spans
+// and a warn or error threshold would leave it silently empty. A non-empty
+// path is created (truncating) and becomes the JSONL sink; (*Tracer).Close
+// flushes it. With neither a path nor cfg.Ring the spans would go nowhere,
+// so OpenTracer returns a nil (disabled) tracer.
+func OpenTracer(path, level string, cfg TracerConfig) (*Tracer, error) {
+	level = strings.ToLower(level)
+	if level != "debug" && level != "info" {
+		return nil, fmt.Errorf("obs: bad log level %q (debug or info)", level)
 	}
-	e := r.pool.Get().(*Event)
-	e.rec, e.level, e.name = r, lvl, name
-	return e
-}
-
-// Event accumulates attributes for one JSONL line. Builders are pooled;
-// every started event must end with Emit. A nil *Event (disabled recorder)
-// accepts the whole chain as no-ops.
-type Event struct {
-	rec   *Recorder
-	level slog.Level
-	name  string
-	attrs []slog.Attr
-}
-
-// T attaches the virtual-time attribute "t" (simulation seconds).
-func (e *Event) T(simTime float64) *Event { return e.F64("t", simTime) }
-
-// F64 attaches a float attribute.
-func (e *Event) F64(k string, v float64) *Event {
-	if e == nil {
-		return nil
+	cfg.Debug = level == "debug"
+	if path != "" {
+		rec, err := fileRecorder(path)
+		if err != nil {
+			return nil, err
+		}
+		cfg.Recorder = rec
 	}
-	e.attrs = append(e.attrs, slog.Float64(k, v))
-	return e
-}
-
-// Int attaches an int attribute.
-func (e *Event) Int(k string, v int) *Event {
-	if e == nil {
-		return nil
+	if cfg.Recorder == nil && cfg.Ring == nil {
+		return nil, nil
 	}
-	e.attrs = append(e.attrs, slog.Int(k, v))
-	return e
-}
-
-// Uint attaches a uint64 attribute.
-func (e *Event) Uint(k string, v uint64) *Event {
-	if e == nil {
-		return nil
-	}
-	e.attrs = append(e.attrs, slog.Uint64(k, v))
-	return e
-}
-
-// Str attaches a string attribute.
-func (e *Event) Str(k, v string) *Event {
-	if e == nil {
-		return nil
-	}
-	e.attrs = append(e.attrs, slog.String(k, v))
-	return e
-}
-
-// Bool attaches a bool attribute.
-func (e *Event) Bool(k string, v bool) *Event {
-	if e == nil {
-		return nil
-	}
-	e.attrs = append(e.attrs, slog.Bool(k, v))
-	return e
-}
-
-// F64s attaches a float-slice attribute (serialised as a JSON array). The
-// slice is read during Emit, synchronously, so callers may reuse it after.
-func (e *Event) F64s(k string, v []float64) *Event {
-	if e == nil {
-		return nil
-	}
-	e.attrs = append(e.attrs, slog.Any(k, v))
-	return e
-}
-
-// Ints attaches an int-slice attribute (serialised as a JSON array).
-func (e *Event) Ints(k string, v []int) *Event {
-	if e == nil {
-		return nil
-	}
-	e.attrs = append(e.attrs, slog.Any(k, v))
-	return e
-}
-
-// Emit writes the event as one JSON line and recycles the builder.
-func (e *Event) Emit() {
-	if e == nil {
-		return
-	}
-	e.rec.logger.LogAttrs(context.Background(), e.level, e.name, e.attrs...)
-	rec := e.rec
-	e.rec = nil
-	e.attrs = e.attrs[:0]
-	rec.pool.Put(e)
+	return NewTracer(cfg), nil
 }

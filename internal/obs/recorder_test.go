@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
-	"log/slog"
 	"os"
 	"path/filepath"
 	"strings"
@@ -26,31 +25,39 @@ func decodeLines(t *testing.T, buf *bytes.Buffer) []map[string]any {
 	return out
 }
 
+// TestRecorderJSONL pins the sink's line format: one "span" record with
+// every attribute kind a span can carry, and no wall-clock time key.
 func TestRecorderJSONL(t *testing.T) {
 	var buf bytes.Buffer
-	r := NewRecorder(&buf, slog.LevelInfo)
-	r.Event("window").
-		T(30).
+	tr := NewTracer(TracerConfig{Recorder: NewRecorder(&buf), SimTime: true})
+	action := []int{4, 4, 3, 3}
+	wip := []float64{0, 1.5}
+	sp := tr.Start("env.window").
+		T0(0).
 		Int("window", 1).
-		Ints("action", []int{4, 4, 3, 3}).
-		F64s("wip", []float64{0, 1.5}).
+		Ints("action", action).
+		F64s("wip", wip).
 		F64("reward", -3.5).
 		Str("ensemble", "msd").
 		Bool("burst", true).
-		Uint("updates", 7).
-		Emit()
+		Uint("updates", 7)
+	// Slice attributes are copied: mutating the caller's buffers before End
+	// must not leak into the record.
+	action[0], wip[1] = 99, 99
+	sp.EndT(30)
 	lines := decodeLines(t, &buf)
 	if len(lines) != 1 {
 		t.Fatalf("got %d lines, want 1", len(lines))
 	}
 	m := lines[0]
-	if m["msg"] != "window" || m["level"] != "INFO" {
-		t.Fatalf("msg/level wrong: %v", m)
+	if m["msg"] != "span" || m["name"] != "env.window" || m["level"] != "INFO" {
+		t.Fatalf("msg/name/level wrong: %v", m)
 	}
 	if _, hasTime := m["time"]; hasTime {
 		t.Fatal("wall-clock time leaked into the trace; replays would not be deterministic")
 	}
-	if m["t"] != 30.0 || m["reward"] != -3.5 || m["window"] != 1.0 {
+	if m["t1"] != 30.0 || m["reward"] != -3.5 || m["window"] != 1.0 || m["updates"] != 7.0 ||
+		m["ensemble"] != "msd" || m["burst"] != true {
 		t.Fatalf("scalar attrs wrong: %v", m)
 	}
 	if a, ok := m["action"].([]any); !ok || len(a) != 4 || a[0] != 4.0 {
@@ -61,38 +68,55 @@ func TestRecorderJSONL(t *testing.T) {
 	}
 }
 
+// TestRecorderLevelFiltering pins the single level gate: without
+// TracerConfig.Debug, debug spans (and their children) never reach the
+// sink; with it, they arrive at level DEBUG.
 func TestRecorderLevelFiltering(t *testing.T) {
-	var buf bytes.Buffer
-	r := NewRecorder(&buf, slog.LevelInfo)
-	if r.Debug("noisy") != nil {
-		t.Fatal("Debug should return nil below the recorder level")
-	}
-	r.Debug("noisy").F64("x", 1).Emit() // whole chain must be a no-op
-	r.Event("kept").Emit()
-	lines := decodeLines(t, &buf)
-	if len(lines) != 1 || lines[0]["msg"] != "kept" {
-		t.Fatalf("level filtering wrong: %v", lines)
-	}
-	if !r.Enabled(slog.LevelInfo) || r.Enabled(slog.LevelDebug) {
-		t.Fatal("Enabled disagrees with the configured level")
+	for _, debug := range []bool{false, true} {
+		var buf bytes.Buffer
+		tr := NewTracer(TracerConfig{Recorder: NewRecorder(&buf), Debug: debug})
+		noisy := tr.StartDebug("noisy").F64("x", 1)
+		noisy.Child("noisy.child").End()
+		noisy.End()
+		tr.Start("kept").End()
+		lines := decodeLines(t, &buf)
+		if !debug {
+			if len(lines) != 1 || lines[0]["name"] != "kept" {
+				t.Fatalf("Debug=false: want only the info span, got %v", lines)
+			}
+			continue
+		}
+		if len(lines) != 3 {
+			t.Fatalf("Debug=true: got %d spans, want 3: %v", len(lines), lines)
+		}
+		for i, lvl := range []string{"DEBUG", "DEBUG", "INFO"} {
+			if lines[i]["level"] != lvl {
+				t.Fatalf("span %v level %v, want %s", lines[i]["name"], lines[i]["level"], lvl)
+			}
+		}
 	}
 }
 
 func TestNilRecorderIsSafe(t *testing.T) {
 	var r *Recorder
-	if r.Enabled(slog.LevelError) {
-		t.Fatal("nil recorder claims enabled")
-	}
-	r.Event("x").T(1).F64("a", 2).Ints("b", []int{1}).Emit() // must not panic
-	r.Debug("y").Str("s", "v").Emit()
 	if err := r.Close(); err != nil {
 		t.Fatalf("nil Close: %v", err)
+	}
+	// A tracer without a sink still feeds its ring.
+	ring := NewSpanRing(4)
+	tr := NewTracer(TracerConfig{Ring: ring})
+	tr.Start("x").Ints("b", []int{1}).F64s("c", []float64{2}).End()
+	if err := tr.Close(); err != nil {
+		t.Fatalf("sinkless tracer Close: %v", err)
+	}
+	if ring.Len() != 1 {
+		t.Fatalf("ring holds %d spans, want 1", ring.Len())
 	}
 }
 
 func TestRecorderConcurrentEmit(t *testing.T) {
 	var buf bytes.Buffer
-	r := NewRecorder(&buf, slog.LevelDebug)
+	tr := NewTracer(TracerConfig{Recorder: NewRecorder(&buf), Debug: true})
 	const workers, per = 8, 200
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -100,7 +124,7 @@ func TestRecorderConcurrentEmit(t *testing.T) {
 		go func(id int) {
 			defer wg.Done()
 			for i := 0; i < per; i++ {
-				r.Debug("tick").Int("worker", id).Int("i", i).Emit()
+				tr.StartDebug("tick").Int("worker", id).Int("i", i).End()
 			}
 		}(w)
 	}
@@ -113,13 +137,14 @@ func TestRecorderConcurrentEmit(t *testing.T) {
 
 func TestFileRecorder(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "trace.jsonl")
-	r, err := FileRecorder(path, "debug")
+	r, err := fileRecorder(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r.Event("a").Int("n", 1).Emit()
-	r.Debug("b").Emit()
-	if err := r.Close(); err != nil {
+	tr := NewTracer(TracerConfig{Recorder: r, Debug: true})
+	tr.Start("a").Int("n", 1).End()
+	tr.StartDebug("b").End()
+	if err := tr.Close(); err != nil {
 		t.Fatal(err)
 	}
 	data, err := os.ReadFile(path)
@@ -129,57 +154,82 @@ func TestFileRecorder(t *testing.T) {
 	if got := strings.Count(string(data), "\n"); got != 2 {
 		t.Fatalf("file has %d lines, want 2:\n%s", got, data)
 	}
-
-	// Empty path: disabled recorder, no file, no error.
-	nilRec, err := FileRecorder("", "info")
-	if err != nil || nilRec != nil {
-		t.Fatalf("empty path: rec=%v err=%v, want nil/nil", nilRec, err)
-	}
-
-	if _, err := FileRecorder(path, "loud"); err == nil {
-		t.Fatal("bad level accepted")
+	if _, err := fileRecorder(filepath.Join(path, "not-a-dir", "x")); err == nil {
+		t.Fatal("unwritable path accepted")
 	}
 }
 
-// BenchmarkRecorderDisabled proves the disabled fast path allocates
-// nothing: instrumented hot loops (DDPG updates, model epochs) stay
-// allocation-free when no -trace-out is given.
-func BenchmarkRecorderDisabled(b *testing.B) {
-	var r *Recorder
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		r.Debug("ddpg_update").
-			Uint("update", uint64(i)).
-			F64("critic_loss", 0.5).
-			F64("mean_q", -1).
-			Int("replay", 1024).
-			Emit()
+// TestOpenTracerLevels is the CLI contract behind -trace-out/-log-level:
+// only debug and info produce a trace; every other level is rejected
+// instead of silently writing an empty file.
+func TestOpenTracerLevels(t *testing.T) {
+	dir := t.TempDir()
+	for _, tc := range []struct {
+		level   string
+		ok      bool
+		debugOn bool
+	}{
+		{"debug", true, true},
+		{"info", true, false},
+		{"INFO", true, false},
+		{"warn", false, false},
+		{"error", false, false},
+		{"", false, false},
+		{"loud", false, false},
+	} {
+		t.Run(tc.level, func(t *testing.T) {
+			path := filepath.Join(dir, "t-"+tc.level+".jsonl")
+			tr, err := OpenTracer(path, tc.level, TracerConfig{SimTime: true})
+			if !tc.ok {
+				if err == nil || tr != nil {
+					t.Fatalf("level %q: tracer=%v err=%v, want an error", tc.level, tr, err)
+				}
+				if _, statErr := os.Stat(path); statErr == nil {
+					t.Fatalf("level %q: rejected level still created %s", tc.level, path)
+				}
+				return
+			}
+			if err != nil || tr == nil {
+				t.Fatalf("level %q: tracer=%v err=%v", tc.level, tr, err)
+			}
+			tr.Start("i").End()
+			tr.StartDebug("d").End()
+			if err := tr.Close(); err != nil {
+				t.Fatal(err)
+			}
+			data, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := 1
+			if tc.debugOn {
+				want = 2
+			}
+			if got := strings.Count(string(data), `"msg":"span"`); got != want {
+				t.Fatalf("level %q wrote %d spans, want %d:\n%s", tc.level, got, want, data)
+			}
+		})
 	}
-	if testing.AllocsPerRun(100, func() {
-		r.Debug("x").F64("v", 1).Emit()
-	}) != 0 {
-		b.Fatal("disabled recorder path allocates")
+
+	// No path and no ring: nothing to export to, so tracing is disabled.
+	if tr, err := OpenTracer("", "debug", TracerConfig{}); err != nil || tr != nil {
+		t.Fatalf("empty path: tracer=%v err=%v, want nil/nil", tr, err)
+	}
+	// No path but a ring: the tracer exists (the server's /v1/debug/traces).
+	tr, err := OpenTracer("", "info", TracerConfig{Ring: NewSpanRing(1)})
+	if err != nil || tr == nil || tr.Ring() == nil {
+		t.Fatalf("ring-only: tracer=%v err=%v", tr, err)
 	}
 }
 
-// BenchmarkRecorderLevelFiltered measures the below-level path of a live
-// recorder — also allocation-free, since the builder is never taken from
-// the pool.
-func BenchmarkRecorderLevelFiltered(b *testing.B) {
-	r := NewRecorder(&bytes.Buffer{}, slog.LevelInfo)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		r.Debug("ddpg_update").F64("critic_loss", 0.5).Emit()
-	}
-}
-
-// BenchmarkRecorderEmit measures the enabled path writing to memory.
+// BenchmarkRecorderEmit measures the enabled span export path writing to
+// memory.
 func BenchmarkRecorderEmit(b *testing.B) {
 	var buf bytes.Buffer
-	r := NewRecorder(&buf, slog.LevelDebug)
+	tr := NewTracer(TracerConfig{Recorder: NewRecorder(&buf), SimTime: true, Debug: true})
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		buf.Reset()
-		r.Debug("ddpg_update").Uint("update", uint64(i)).F64("critic_loss", 0.5).Emit()
+		tr.StartDebug("ddpg.update").Uint("update", uint64(i)).F64("critic_loss", 0.5).End()
 	}
 }

@@ -5,14 +5,15 @@
 // attributed across component boundaries instead of inferred from flat
 // counters.
 //
-// The same discipline as the Recorder applies: a nil *Tracer (and the nil
-// *Span every method then returns) is fully disabled and allocates nothing,
-// so hot paths stay instrumented unconditionally. In sim-time mode spans
-// carry virtual timestamps only — wall-clock fields are stripped — so a
-// seeded run emits a byte-identical span trace every time, at any
-// GOMAXPROCS.
+// The span is the only telemetry primitive: a point event is a
+// zero-duration span (EndT at its own T0), and the *Tracer is the only
+// handle components take. A nil *Tracer (and the nil *Span every method
+// then returns) is fully disabled and allocates nothing, so hot paths stay
+// instrumented unconditionally. In sim-time mode spans carry virtual
+// timestamps only — wall-clock fields are stripped — so a seeded run emits
+// a byte-identical span trace every time, at any GOMAXPROCS.
 //
-// Finished spans are exported two ways: as "span" records on the Recorder's
+// Finished spans are exported two ways: as "span" lines on the Recorder
 // JSONL sink (the CLI -trace-out files), and into an in-process SpanRing
 // served at GET /v1/debug/traces.
 
@@ -33,8 +34,8 @@ import (
 // TracerConfig configures a Tracer. The zero value is a valid (if silent)
 // tracer: no sink, no ring, wall-clock timestamps.
 type TracerConfig struct {
-	// Recorder, when non-nil, receives one "span" JSONL record per
-	// finished span.
+	// Recorder, when non-nil, receives one "span" JSONL line per finished
+	// span. OpenTracer sets it from a -trace-out path.
 	Recorder *Recorder
 	// Ring, when non-nil, keeps the most recent finished spans in memory
 	// for GET /v1/debug/traces.
@@ -47,7 +48,7 @@ type TracerConfig struct {
 	// that do not set it explicitly. See also (*Tracer).SetClock.
 	Clock func() float64
 	// Debug enables the debug-granularity spans (per DDPG minibatch
-	// update); by default StartDebug is a no-op.
+	// update, per consumer start-up); by default StartDebug is a no-op.
 	Debug bool
 	// SlowWall, when positive, marks spans whose wall duration exceeds it
 	// as anomalies: OnAnomaly fires (even in sim-time mode, where the wall
@@ -85,7 +86,9 @@ type parentRef struct {
 // NewTracer builds a tracer from cfg.
 func NewTracer(cfg TracerConfig) *Tracer {
 	t := &Tracer{cfg: cfg}
-	t.pool.New = func() any { return &Span{attrs: make([]slog.Attr, 0, 16)} }
+	t.pool.New = func() any {
+		return &Span{attrs: make([]slog.Attr, 0, 16), line: make([]slog.Attr, 0, 24)}
+	}
 	return t
 }
 
@@ -96,6 +99,15 @@ func (t *Tracer) SetClock(fn func() float64) {
 	if t != nil {
 		t.cfg.Clock = fn
 	}
+}
+
+// Close flushes and closes the tracer's JSONL sink, if any. Safe on a nil
+// tracer.
+func (t *Tracer) Close() error {
+	if t == nil {
+		return nil
+	}
+	return t.cfg.Recorder.Close()
 }
 
 // Ring returns the tracer's span ring, or nil. Safe on a nil tracer.
@@ -193,6 +205,8 @@ type Span struct {
 	t0        float64
 	hasT0     bool
 	attrs     []slog.Attr
+	// line is the pooled scratch the JSONL export assembles its record in.
+	line []slog.Attr
 }
 
 // Child begins a span in the same trace with s as parent, at s's level.
@@ -267,6 +281,25 @@ func (s *Span) Bool(k string, v bool) *Span {
 	return s
 }
 
+// Ints attaches an int-slice attribute (a JSON array). The slice is copied:
+// the SpanRing keeps attribute values after End, so callers may reuse it.
+func (s *Span) Ints(k string, v []int) *Span {
+	if s == nil {
+		return nil
+	}
+	s.attrs = append(s.attrs, slog.Any(k, append([]int(nil), v...)))
+	return s
+}
+
+// F64s attaches a float-slice attribute (a JSON array), copied like Ints.
+func (s *Span) F64s(k string, v []float64) *Span {
+	if s == nil {
+		return nil
+	}
+	s.attrs = append(s.attrs, slog.Any(k, append([]float64(nil), v...)))
+	return s
+}
+
 // TraceID returns the span's 32-hex-digit W3C trace id ("" when disabled).
 func (s *Span) TraceID() string {
 	if s == nil {
@@ -313,26 +346,27 @@ func (s *Span) finish(t1 float64, hasT1 bool) {
 	}
 
 	if rec := tr.cfg.Recorder; rec != nil {
-		if ev := rec.at(s.level, "span"); ev != nil {
-			ev.Str("name", s.name).
-				Str("trace", s.TraceID()).
-				Uint("id", s.id)
-			if s.parent != 0 {
-				ev.Uint("parent", s.parent)
-			}
-			if s.hasT0 {
-				ev.F64("t0", s.t0)
-			}
-			if hasT1 {
-				ev.F64("t1", t1)
-			}
-			if !tr.cfg.SimTime {
-				ev.F64("wall_start", float64(s.wallStart.UnixNano())/1e9).
-					F64("wall_dur", wall.Seconds())
-			}
-			ev.attrs = append(ev.attrs, s.attrs...)
-			ev.Emit()
+		line := append(s.line[:0],
+			slog.String("name", s.name),
+			slog.String("trace", s.TraceID()),
+			slog.Uint64("id", s.id))
+		if s.parent != 0 {
+			line = append(line, slog.Uint64("parent", s.parent))
 		}
+		if s.hasT0 {
+			line = append(line, slog.Float64("t0", s.t0))
+		}
+		if hasT1 {
+			line = append(line, slog.Float64("t1", t1))
+		}
+		if !tr.cfg.SimTime {
+			line = append(line,
+				slog.Float64("wall_start", float64(s.wallStart.UnixNano())/1e9),
+				slog.Float64("wall_dur", wall.Seconds()))
+		}
+		line = append(line, s.attrs...)
+		rec.logger.LogAttrs(context.Background(), s.level, "span", line...)
+		s.line = line[:0]
 	}
 	if ring := tr.cfg.Ring; ring != nil {
 		rec := SpanRecord{

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"log/slog"
 	"net/http/httptest"
 	"strings"
 	"sync"
@@ -28,6 +27,12 @@ func TestNilTracerFullChainSafe(t *testing.T) {
 	sp = sp.Child("y").Str("k", "v").Int("i", 1).Uint("u", 2).F64("f", 3).Bool("b", true).T0(1)
 	if sp != nil {
 		t.Fatalf("nil span chain = %v, want nil", sp)
+	}
+	action, wip := []int{1, 2}, []float64{0.5}
+	if allocs := testing.AllocsPerRun(100, func() {
+		sp.Ints("action", action).F64s("wip", wip).End()
+	}); allocs != 0 {
+		t.Fatalf("nil span slice attrs allocate %v allocs/op, want 0", allocs)
 	}
 	if got := sp.TraceID(); got != "" {
 		t.Fatalf("nil span TraceID = %q, want empty", got)
@@ -66,7 +71,7 @@ func BenchmarkTracerDisabled(b *testing.B) {
 
 func TestSpanEmitsJSONL(t *testing.T) {
 	var buf bytes.Buffer
-	rec := NewRecorder(&buf, slog.LevelDebug)
+	rec := NewRecorder(&buf)
 	tr := NewTracer(TracerConfig{Recorder: rec, SimTime: true})
 
 	root := tr.Start("request").Str("endpoint", "step")
@@ -114,7 +119,7 @@ func TestSpanEmitsJSONL(t *testing.T) {
 
 func TestSpanWallModeEmitsWallFields(t *testing.T) {
 	var buf bytes.Buffer
-	rec := NewRecorder(&buf, slog.LevelDebug)
+	rec := NewRecorder(&buf)
 	tr := NewTracer(TracerConfig{Recorder: rec})
 	tr.Start("req").End()
 	lines := decodeLines(t, &buf)
@@ -135,7 +140,7 @@ func TestSpanWallModeEmitsWallFields(t *testing.T) {
 func TestSpanTraceDeterministic(t *testing.T) {
 	run := func() string {
 		var buf bytes.Buffer
-		rec := NewRecorder(&buf, slog.LevelDebug)
+		rec := NewRecorder(&buf)
 		clock := 0.0
 		tr := NewTracer(TracerConfig{Recorder: rec, SimTime: true, Debug: true})
 		tr.SetClock(func() float64 { return clock })
@@ -162,7 +167,7 @@ func TestSpanTraceDeterministic(t *testing.T) {
 
 func TestStartDebugGatedByConfig(t *testing.T) {
 	var buf bytes.Buffer
-	rec := NewRecorder(&buf, slog.LevelDebug)
+	rec := NewRecorder(&buf)
 	tr := NewTracer(TracerConfig{Recorder: rec})
 	if sp := tr.StartDebug("hot"); sp != nil {
 		t.Fatalf("StartDebug without Debug config = %v, want nil", sp)

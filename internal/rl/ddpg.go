@@ -186,7 +186,6 @@ type DDPG struct {
 	lastCriticLoss float64
 	lastMeanQ      float64
 
-	rec    *obs.Recorder
 	tracer *obs.Tracer
 }
 
@@ -270,10 +269,6 @@ func NewDDPG(cfg Config) (*DDPG, error) {
 
 // Config returns the resolved configuration.
 func (d *DDPG) Config() Config { return d.cfg }
-
-// SetRecorder attaches a telemetry recorder; each minibatch update then
-// emits a debug event. A nil recorder keeps Update allocation-free.
-func (d *DDPG) SetRecorder(r *obs.Recorder) { d.rec = r }
 
 // SetTracer attaches a span tracer; each minibatch update then emits one
 // debug-granularity "ddpg.update" span (only when the tracer was built with
@@ -466,14 +461,12 @@ func (d *DDPG) Update() (criticLoss, meanQ float64) {
 	d.criticTarget.SoftUpdateFrom(d.critic, cfg.Tau)
 	d.updates++
 	d.lastCriticLoss, d.lastMeanQ = criticLoss, meanQ
-	d.rec.Debug("ddpg_update").
-		Uint("update", d.updates).
+	updateSpan.Uint("update", d.updates).
 		F64("critic_loss", criticLoss).
 		F64("mean_q", meanQ).
 		Int("replay", d.replay.Len()).
 		F64("sigma", d.NoiseSigma()).
-		Emit()
-	updateSpan.Uint("update", d.updates).F64("critic_loss", criticLoss).End()
+		End()
 	return criticLoss, meanQ
 }
 

@@ -1,7 +1,10 @@
 #!/usr/bin/env bash
 # Observability smoke test: build miras-server, start it on a local port,
 # wait for /healthz, scrape /metrics, and fail unless the scrape contains
-# actual miras/process metrics. `make obs-demo` runs this.
+# actual miras/process metrics. Then check the training trace: a one-iteration
+# miras-train -trace-out run must write only span records, with the Fig. 6
+# statistics on train.iteration, and a log level that would write nothing
+# must be rejected. `make obs-demo` runs this.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -11,7 +14,8 @@ cd "$(dirname "$0")/.."
 export MIRAS_INVARIANTS=1
 
 ADDR="${OBS_DEMO_ADDR:-127.0.0.1:18080}"
-BIN="$(mktemp -d)/miras-server"
+WORK="$(mktemp -d)"
+BIN="$WORK/miras-server"
 
 # fetch PATH — GET a URL and print the body. Prefers curl; falls back to
 # bash's /dev/tcp so the gate needs nothing beyond the base image.
@@ -54,7 +58,7 @@ SERVER_PID=$!
 cleanup() {
     kill "$SERVER_PID" 2>/dev/null || true
     wait "$SERVER_PID" 2>/dev/null || true
-    rm -rf "$(dirname "$BIN")"
+    rm -rf "$WORK"
 }
 trap cleanup EXIT
 
@@ -125,6 +129,27 @@ echo "$dash" | grep -q '<svg' || {
     echo "/debug/dash has no sparklines" >&2
     exit 1
 }
+
+echo "==> tracing one training iteration"
+go build -o "$WORK/miras-train" ./cmd/miras-train
+TRACE="$WORK/trace.jsonl"
+"$WORK/miras-train" -ensemble msd -scale quick -iterations 1 -out "$WORK/out" \
+    -trace-out "$TRACE" -log-level debug >/dev/null
+[ -s "$TRACE" ] || { echo "training trace is empty" >&2; exit 1; }
+if grep -qv '"msg":"span"' "$TRACE"; then
+    echo "training trace has non-span records:" >&2
+    grep -m 3 -v '"msg":"span"' "$TRACE" >&2
+    exit 1
+fi
+grep '"name":"train.iteration"' "$TRACE" | grep -q '"eval_return":' || {
+    echo "train.iteration span lacks eval_return" >&2
+    exit 1
+}
+if "$WORK/miras-train" -ensemble msd -scale quick -iterations 1 -out "$WORK/out" \
+    -trace-out "$WORK/warn.jsonl" -log-level warn >/dev/null 2>&1; then
+    echo "-log-level warn was accepted; it would write an empty trace" >&2
+    exit 1
+fi
 
 echo "==> sample:"
 echo "$metrics" | head -8
