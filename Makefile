@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test vet race check bench bench-smoke wlcheck-smoke fmt fuzz-smoke obs-demo chaos-demo golden-demo resume-demo loadgen-demo failover-demo
+.PHONY: build test vet race check bench bench-smoke wlcheck-smoke fmt fuzz-smoke obs-demo chaos-demo golden-demo resume-demo loadgen-demo failover-demo loc
 
 build:
 	$(GO) build ./...
@@ -96,3 +96,11 @@ loadgen-demo:
 # inside a 1% error budget with the dead shard's sessions still serving.
 failover-demo:
 	./scripts/failover_demo.sh
+
+# Go source size, the per-change numbers the ROADMAP tracks: non-test and
+# test line counts over the whole module, excluding perfbench/ (a nested
+# module) and .bench_build/ (its build cache).
+LOC_FIND = find . -name '*.go' -not -path './perfbench/*' -not -path './.bench_build/*'
+loc:
+	@printf 'non-test %s\n' "$$($(LOC_FIND) -not -name '*_test.go' -exec cat {} + | wc -l)"
+	@printf 'test     %s\n' "$$($(LOC_FIND) -name '*_test.go' -exec cat {} + | wc -l)"

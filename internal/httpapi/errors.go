@@ -88,9 +88,10 @@ type ErrorEnvelope struct {
 	Error ErrorDetail `json:"error"`
 }
 
-// writeError emits the structured error envelope.
-func writeError(w http.ResponseWriter, status int, code ErrorCode, err error) {
-	writeJSON(w, status, ErrorEnvelope{Error: ErrorDetail{Code: code, Message: err.Error()}})
+// WriteError emits the structured error envelope. miras-router answers
+// through it too, so both hops write byte-identical envelopes.
+func WriteError(w http.ResponseWriter, status int, code ErrorCode, err error) {
+	WriteJSON(w, status, ErrorEnvelope{Error: ErrorDetail{Code: code, Message: err.Error()}})
 }
 
 // decodeBody decodes a JSON request body into v, reporting CodeBadRequest
@@ -100,17 +101,18 @@ func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
 	if err := json.NewDecoder(r.Body).Decode(v); err != nil {
 		var tooLarge *http.MaxBytesError
 		if errors.As(err, &tooLarge) {
-			writeError(w, http.StatusRequestEntityTooLarge, CodeBodyTooLarge,
+			WriteError(w, http.StatusRequestEntityTooLarge, CodeBodyTooLarge,
 				fmt.Errorf("request body exceeds %d bytes", tooLarge.Limit))
 			return false
 		}
-		writeError(w, http.StatusBadRequest, CodeBadRequest, err)
+		WriteError(w, http.StatusBadRequest, CodeBadRequest, err)
 		return false
 	}
 	return true
 }
 
-func writeJSON(w http.ResponseWriter, status int, v any) {
+// WriteJSON emits v as a JSON response body with the given status.
+func WriteJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	// Encoding errors after headers are written can only be logged; for

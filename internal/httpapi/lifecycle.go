@@ -70,42 +70,48 @@ type RehydrateResponse struct {
 	Failed     map[string]string `json:"failed,omitempty"`
 }
 
+// MaxListLimit caps a GET /v1/sessions page. miras-router asks each shard
+// for a page this size when it merges listings.
+const MaxListLimit = 1000
+
+// ReadListQuery parses the paging parameters of GET /v1/sessions: limit
+// (default 100, capped at MaxListLimit) and page_token. A limit that is
+// not a positive integer is answered 400 bad_request, and ok is false once
+// the response has been written. miras-router's merged listing parses its
+// query through the same function.
+func ReadListQuery(w http.ResponseWriter, r *http.Request) (limit int, token string, ok bool) {
+	q := r.URL.Query()
+	limit = 100
+	if raw := q.Get("limit"); raw != "" {
+		n, err := strconv.Atoi(raw)
+		if err != nil || n <= 0 {
+			WriteError(w, http.StatusBadRequest, CodeBadRequest,
+				fmt.Errorf("limit must be a positive integer, got %q", raw))
+			return 0, "", false
+		}
+		limit = min(n, MaxListLimit)
+	}
+	return limit, q.Get("page_token"), true
+}
+
 // handleList serves GET /v1/sessions?limit=&page_token=. Sessions are
 // ordered lexicographically by id; page_token is the last id of the
 // previous page (exclusive). Listing does not touch the sessions' idle
 // clocks — an operator watching the fleet must not keep it alive.
 func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
-	q := r.URL.Query()
-	limit := 100
-	if raw := q.Get("limit"); raw != "" {
-		n, err := strconv.Atoi(raw)
-		if err != nil || n <= 0 {
-			writeError(w, http.StatusBadRequest, CodeBadRequest,
-				fmt.Errorf("limit must be a positive integer, got %q", raw))
-			return
-		}
-		limit = n
+	limit, token, ok := ReadListQuery(w, r)
+	if !ok {
+		return
 	}
-	if limit > 1000 {
-		limit = 1000
-	}
-	token := q.Get("page_token")
-
 	now := s.now()
 	var live []*session
-	for _, sh := range s.shards {
-		sh.mu.RLock()
-		for id, sess := range sh.sessions {
-			if id <= token && token != "" {
-				continue
-			}
-			if _, exp := sess.expired(now); exp {
-				continue // lazy eviction or the sweeper will reap it
-			}
+	s.each(func(sess *session) bool {
+		// Expired sessions are skipped; lazy eviction or the sweeper reaps them.
+		if _, exp := sess.expired(now); sess.id > token && !exp {
 			live = append(live, sess)
 		}
-		sh.mu.RUnlock()
-	}
+		return true
+	})
 	sort.Slice(live, func(a, b int) bool { return live[a].id < live[b].id })
 
 	page := live
@@ -119,7 +125,7 @@ func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
 		sess.mu.Lock()
 		out.Sessions = append(out.Sessions, SessionSummary{
 			ID:                 sess.id,
-			Ensemble:           sess.ensemble,
+			Ensemble:           sess.create.Ensemble,
 			Shard:              sess.shardIdx,
 			Windows:            sess.windows,
 			AgeSec:             now.Sub(sess.createdAt).Seconds(),
@@ -134,17 +140,14 @@ func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
 	if more && len(page) > 0 {
 		out.NextPageToken = page[len(page)-1].id
 	}
-	writeJSON(w, http.StatusOK, out)
+	WriteJSON(w, http.StatusOK, out)
 }
 
-// spill writes sess's replayable snapshot to its per-id checkpoint store
-// under the server's spill directory.
+// spill writes sess's snapshot to its per-id checkpoint store under the
+// server's spill directory.
 func (s *Server) spill(sess *session) error {
 	sess.mu.Lock()
-	snap := SessionSnapshot{Create: sess.create, Ops: sess.ops, Policy: sess.policy}
-	if snap.Ops == nil {
-		snap.Ops = []SessionOp{}
-	}
+	snap := sess.snapshot()
 	sess.mu.Unlock()
 	st, err := checkpoint.NewStore(filepath.Join(s.spillDir, sess.id), spillKeep)
 	if err != nil {
@@ -165,24 +168,17 @@ func (s *Server) SpillAll() (int, error) {
 	}
 	n := 0
 	var firstErr error
-	for _, sh := range s.shards {
-		sh.mu.RLock()
-		victims := make([]*session, 0, len(sh.sessions))
-		for _, sess := range sh.sessions {
-			victims = append(victims, sess)
-		}
-		sh.mu.RUnlock()
-		for _, sess := range victims {
-			if err := s.spill(sess); err != nil {
-				s.spillErrors.Inc()
-				if firstErr == nil {
-					firstErr = fmt.Errorf("spill session %q: %w", sess.id, err)
-				}
-				continue
+	s.each(func(sess *session) bool {
+		if err := s.spill(sess); err != nil {
+			s.spillErrors.Inc()
+			if firstErr == nil {
+				firstErr = fmt.Errorf("spill session %q: %w", sess.id, err)
 			}
+		} else {
 			n++
 		}
-	}
+		return true
+	})
 	return n, firstErr
 }
 
@@ -204,81 +200,56 @@ func (s *Server) removeSpill(id string) {
 // remaining sessions keep serving rather than vanish unspilled.
 func (s *Server) handleDrain(w http.ResponseWriter, r *http.Request) {
 	if s.spillDir == "" {
-		writeError(w, http.StatusBadRequest, CodeBadRequest,
+		WriteError(w, http.StatusBadRequest, CodeBadRequest,
 			fmt.Errorf("drain requires a spill directory (start the server with -spill-dir)"))
 		return
 	}
 	resp := DrainResponse{Spilled: []string{}}
-	for _, sh := range s.shards {
-		sh.mu.RLock()
-		victims := make([]*session, 0, len(sh.sessions))
-		for _, sess := range sh.sessions {
-			victims = append(victims, sess)
+	var failed error
+	s.each(func(sess *session) bool {
+		// Spill before evicting: the session must not leave the registry
+		// until its snapshot is durable.
+		if err := s.spill(sess); err != nil {
+			s.spillErrors.Inc()
+			failed = fmt.Errorf("drain: spill session %q: %w", sess.id, err)
+			return false
 		}
-		sh.mu.RUnlock()
-		for _, sess := range victims {
-			// Spill before evicting: the session must not leave the
-			// registry until its snapshot is durable.
-			if err := s.spill(sess); err != nil {
-				s.spillErrors.Inc()
-				writeError(w, http.StatusInternalServerError, CodeInternal,
-					fmt.Errorf("drain: spill session %q: %w", sess.id, err))
-				return
-			}
-			if s.evictDrained(sh, sess) {
-				resp.Spilled = append(resp.Spilled, sess.id)
-			}
+		if s.unregister(sess, "drain") {
+			resp.Spilled = append(resp.Spilled, sess.id)
 		}
+		return true
+	})
+	if failed != nil {
+		WriteError(w, http.StatusInternalServerError, CodeInternal, failed)
+		return
 	}
 	sort.Strings(resp.Spilled)
-	writeJSON(w, http.StatusOK, resp)
-}
-
-// evictDrained removes an already-spilled session (drain path — evict's
-// own spill is skipped by spilling first and removing here).
-func (s *Server) evictDrained(sh *shard, sess *session) bool {
-	sh.mu.Lock()
-	cur, ok := sh.sessions[sess.id]
-	if !ok || cur != sess {
-		sh.mu.Unlock()
-		return false
-	}
-	delete(sh.sessions, sess.id)
-	sh.tombs.add(sess.id)
-	sh.liveGauge.Set(float64(len(sh.sessions)))
-	sh.mu.Unlock()
-	s.live.Add(-1)
-	s.sessionsLive.Set(float64(s.live.Load()))
-	s.dropSessionObs(sess.id)
-	s.reg.Counter("miras_sessions_evicted_total",
-		"Sessions evicted, by shard and reason (ttl, idle, drain).",
-		"shard", strconv.Itoa(sh.idx), "reason", "drain").Inc()
-	return true
+	WriteJSON(w, http.StatusOK, resp)
 }
 
 // handleRehydrate scans the spill directory and adopts every spilled
-// session this process owns, rebuilding each through the restore path
-// (fresh system from the snapshot's create request, operation log
-// replayed). Adopted sessions keep their original ids, shed their
-// tombstones, and their spill stores are deleted. Sessions the topology
+// session this process owns, admitting each spilled snapshot through the
+// same path as a create (fresh system from the snapshot's create request,
+// operation log replayed). Adopted sessions keep their original ids, shed
+// their tombstones, and their spill stores are deleted. Sessions the topology
 // assigns to another process are left on disk for their owner — unless the
 // request body names that owner in take_over, in which case this process
 // adopts them too (shard failover). Sessions that fail to rebuild are
 // reported in "failed" and left on disk.
 func (s *Server) handleRehydrate(w http.ResponseWriter, r *http.Request) {
 	if s.spillDir == "" {
-		writeError(w, http.StatusBadRequest, CodeBadRequest,
+		WriteError(w, http.StatusBadRequest, CodeBadRequest,
 			fmt.Errorf("rehydrate requires a spill directory (start the server with -spill-dir)"))
 		return
 	}
 	var req RehydrateRequest
 	if body, err := io.ReadAll(r.Body); err != nil {
-		writeError(w, http.StatusBadRequest, CodeBadRequest,
+		WriteError(w, http.StatusBadRequest, CodeBadRequest,
 			fmt.Errorf("rehydrate: read body: %w", err))
 		return
 	} else if len(bytes.TrimSpace(body)) > 0 {
 		if err := json.Unmarshal(body, &req); err != nil {
-			writeError(w, http.StatusBadRequest, CodeBadRequest,
+			WriteError(w, http.StatusBadRequest, CodeBadRequest,
 				fmt.Errorf("rehydrate: %w", err))
 			return
 		}
@@ -289,7 +260,7 @@ func (s *Server) handleRehydrate(w http.ResponseWriter, r *http.Request) {
 	}
 	entries, err := os.ReadDir(s.spillDir)
 	if err != nil && !os.IsNotExist(err) {
-		writeError(w, http.StatusInternalServerError, CodeInternal,
+		WriteError(w, http.StatusInternalServerError, CodeInternal,
 			fmt.Errorf("rehydrate: read spill directory: %w", err))
 		return
 	}
@@ -320,12 +291,12 @@ func (s *Server) handleRehydrate(w http.ResponseWriter, r *http.Request) {
 	if len(resp.Failed) == 0 {
 		resp.Failed = nil
 	}
-	writeJSON(w, http.StatusOK, resp)
+	WriteJSON(w, http.StatusOK, resp)
 }
 
-// rehydrateOne loads id's latest spill checkpoint and rebuilds the session
-// under its original id. The spill store is removed only after the session
-// is live again.
+// rehydrateOne loads id's latest spill checkpoint and admits it under its
+// original id. The spill store is removed only after the session is live
+// again.
 func (s *Server) rehydrateOne(id string) error {
 	dir := filepath.Join(s.spillDir, id)
 	st, err := checkpoint.NewStore(dir, spillKeep)
@@ -336,56 +307,9 @@ func (s *Server) rehydrateOne(id string) error {
 	if _, err := st.LoadLatest(&snap); err != nil {
 		return err
 	}
-
-	if n := s.live.Add(1); n > int64(s.maxSessions) {
-		s.live.Add(-1)
-		return fmt.Errorf("session limit %d reached", s.maxSessions)
-	}
-	release := func() {
-		s.live.Add(-1)
-		s.sessionsLive.Set(float64(s.live.Load()))
-	}
-	faultsTotal := s.reg.Counter("miras_faults_total",
-		"Fault events injected (episode activations and consumer crashes), by session.",
-		"session", id)
-	crashed := s.reg.Counter("miras_consumers_crashed",
-		"Consumers killed by fault injection, by session.",
-		"session", id)
-	built, code, err := s.buildFromSnapshot(snap, faultsTotal, crashed)
-	if err != nil {
-		s.reg.Remove("miras_faults_total", "session", id)
-		s.reg.Remove("miras_consumers_crashed", "session", id)
-		release()
+	if _, code, err := s.admit(id, snap); err != nil {
 		return fmt.Errorf("%s: %w", code, err)
 	}
-	sess := &session{
-		id:          id,
-		ensemble:    built.req.Ensemble,
-		env:         built.env,
-		generator:   built.gen,
-		windows:     built.windows,
-		create:      built.req,
-		createdAt:   s.now(),
-		ttl:         time.Duration(built.req.TTLSeconds * float64(time.Second)),
-		idle:        time.Duration(built.req.IdleTimeoutSeconds * float64(time.Second)),
-		ops:         snap.Ops,
-		policy:      snap.Policy,
-		profiler:    s.profiler,
-		faultsTotal: faultsTotal,
-		crashed:     crashed,
-	}
-	sess.touch(sess.createdAt)
-	if code, err := s.insertSession(sess); err != nil {
-		if code != CodeBadRequest {
-			s.reg.Remove("miras_faults_total", "session", id)
-			s.reg.Remove("miras_consumers_crashed", "session", id)
-		}
-		release()
-		return err
-	}
-	sess.syncGauges()
-	s.sessionsLive.Set(float64(s.live.Load()))
-	// The session is live again; its spill store has served its purpose.
 	if err := os.RemoveAll(dir); err != nil {
 		return fmt.Errorf("session %q rehydrated but spill store not removed: %w", id, err)
 	}

@@ -12,6 +12,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"miras/internal/faults"
 )
 
 // fakeClock is an atomic fake wall clock for driving TTL/idle eviction
@@ -260,6 +262,40 @@ func TestDrainRehydrateByteIdentical(t *testing.T) {
 		}
 	}
 
+	// A failure-aware session with a fault plan armed at create and a
+	// policy attached. Its info and next auto-step response are recorded
+	// from the live session; the auto-step is then rolled back through
+	// restore, so the rehydrated session must give the same answers.
+	var fa SessionInfo
+	if status := cA.do("POST", "/v1/sessions", CreateRequest{
+		Ensemble: "toy", Budget: 6, WindowSec: 10, Seed: 7, FailureAware: true,
+		Faults: &faults.Plan{Specs: []faults.Spec{
+			{Kind: faults.Crash, Service: 0, MTTFSec: 15},
+			{Kind: faults.Slowdown, Service: 1, StartSec: 5, DurationSec: 40, Factor: 2},
+		}},
+	}, &fa); status != http.StatusCreated {
+		t.Fatalf("failure-aware create status %d", status)
+	}
+	ids = append(ids, fa.ID)
+	for k := 0; k < 4; k++ {
+		if status := cA.do("POST", "/v1/sessions/"+fa.ID+"/step",
+			StepRequest{Allocation: []int{3, 3}}, nil); status != http.StatusOK {
+			t.Fatalf("failure-aware step status %d", status)
+		}
+	}
+	if status := cA.do("POST", "/v1/sessions/"+fa.ID+"/policy", testPolicy(4, 2), nil); status != http.StatusOK {
+		t.Fatalf("policy attach status %d", status)
+	}
+	_, faSnap := cA.rawDo("GET", "/v1/sessions/"+fa.ID+"/snapshot", "")
+	_, faInfo := cA.rawDo("GET", "/v1/sessions/"+fa.ID, "")
+	status, faStep := cA.rawDo("POST", "/v1/sessions/"+fa.ID+"/step", "{}")
+	if status != http.StatusOK || !strings.Contains(faStep, `"controller":"policy"`) {
+		t.Fatalf("pre-drain auto-step: %d %s", status, faStep)
+	}
+	if status, body := cA.rawDo("POST", "/v1/sessions/"+fa.ID+"/restore", faSnap); status != http.StatusOK {
+		t.Fatalf("roll back auto-step: %d %s", status, body)
+	}
+
 	pre := make(map[string]string, len(ids))
 	for _, id := range ids {
 		status, body := cA.rawDo("GET", "/v1/sessions/"+id+"/snapshot", "")
@@ -304,6 +340,14 @@ func TestDrainRehydrateByteIdentical(t *testing.T) {
 		if body != pre[id] {
 			t.Fatalf("session %s snapshot drifted through drain→rehydrate:\npre:  %s\npost: %s",
 				id, pre[id], body)
+		}
+		if id == fa.ID {
+			if _, info := cB.rawDo("GET", "/v1/sessions/"+id, ""); info != faInfo {
+				t.Fatalf("failure-aware info drifted:\npre:  %s\npost: %s", faInfo, info)
+			}
+			if _, step := cB.rawDo("POST", "/v1/sessions/"+id+"/step", "{}"); step != faStep {
+				t.Fatalf("failure-aware auto-step drifted:\npre:  %s\npost: %s", faStep, step)
+			}
 		}
 		// The session serves normally again.
 		if status := cB.do("POST", "/v1/sessions/"+id+"/step",

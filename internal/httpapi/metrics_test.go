@@ -172,3 +172,41 @@ func TestMountDebugEndToEnd(t *testing.T) {
 		t.Fatalf("/debug/pprof/ = %d", code)
 	}
 }
+
+// TestDuplicateCreateKeepsLiveFaultSeries pins that a create naming a live
+// session's id — a router retrying an idempotency-keyed create whose
+// response was lost — is refused without removing the live session's fault
+// series, whether the duplicate fails at the insert or already at the
+// build.
+func TestDuplicateCreateKeepsLiveFaultSeries(t *testing.T) {
+	srv := NewServer()
+	h := srv.Handler()
+	create := func(body string) (int, string) {
+		req := httptest.NewRequest("POST", "/v1/sessions", strings.NewReader(body))
+		req.Header.Set(SessionIDHeader, "r1")
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, req)
+		return rec.Code, rec.Body.String()
+	}
+	if status, body := create(`{"ensemble":"toy","budget":4}`); status != http.StatusCreated {
+		t.Fatalf("first create = %d %s", status, body)
+	}
+	for _, tc := range []struct{ body, code string }{
+		{`{"ensemble":"toy","budget":4}`, `"bad_request"`},
+		{`{"ensemble":"nope","budget":4}`, `"unknown_ensemble"`},
+	} {
+		if status, body := create(tc.body); status != http.StatusBadRequest || !strings.Contains(body, tc.code) {
+			t.Fatalf("duplicate create %s = %d %s, want 400 %s", tc.body, status, body, tc.code)
+		}
+		page := scrape(t, srv)
+		for _, series := range []string{`miras_faults_total{session="r1"}`, `miras_consumers_crashed{session="r1"}`} {
+			if !strings.Contains(page, series) {
+				t.Fatalf("duplicate create %s removed the live session's %s", tc.body, series)
+			}
+		}
+	}
+	if n := srv.SessionCount(); n != 1 {
+		t.Fatalf("SessionCount=%d after refused duplicates, want 1", n)
+	}
+	doJSON(t, h, "GET", "/v1/sessions/r1", "", http.StatusOK)
+}

@@ -2,8 +2,9 @@
 // that drives auto-steps, degrade to the HPA baseline when that policy
 // misbehaves (panic, non-finite output, budget violation), and promote the
 // policy back after consecutive healthy shadow probes. The same file holds
-// the snapshot/restore surface — a session's full history as a replayable
-// operation log — and the protective middlewares (body-size cap, request
+// the snapshot surface — a session's full history as a replayable operation
+// log, the one builder that replays it, and the install step every session
+// entrance shares — and the protective middlewares (body-size cap, request
 // deadline).
 
 package httpapi
@@ -18,10 +19,13 @@ import (
 	"time"
 
 	"miras/internal/baselines"
+	"miras/internal/cluster"
 	"miras/internal/env"
 	"miras/internal/faults"
 	"miras/internal/obs"
 	"miras/internal/rl"
+	"miras/internal/sim"
+	"miras/internal/workflow"
 	"miras/internal/workload"
 )
 
@@ -202,7 +206,7 @@ func (s *Server) handlePolicy(w http.ResponseWriter, r *http.Request) {
 	sess.mu.Lock()
 	defer sess.mu.Unlock()
 	if err := validatePolicyFor(&snap, sess.env); err != nil {
-		writeError(w, http.StatusUnprocessableEntity, CodeBadPolicy, err)
+		WriteError(w, http.StatusUnprocessableEntity, CodeBadPolicy, err)
 		return
 	}
 	// A freshly attached policy starts trusted: clear any degradation left
@@ -212,7 +216,17 @@ func (s *Server) handlePolicy(w http.ResponseWriter, r *http.Request) {
 	sess.fallback = nil
 	sess.healthyProbes = 0
 	sess.scratch = nil
-	writeJSON(w, http.StatusOK, sessionInfo(sess))
+	WriteJSON(w, http.StatusOK, sessionInfo(sess))
+}
+
+// snapshot is the session's portable state: the input build replays.
+// Callers hold sess.mu.
+func (sess *session) snapshot() SessionSnapshot {
+	snap := SessionSnapshot{Create: sess.create, Ops: sess.ops, Policy: sess.policy}
+	if snap.Ops == nil {
+		snap.Ops = []SessionOp{}
+	}
+	return snap
 }
 
 func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
@@ -222,77 +236,139 @@ func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 	}
 	sess.mu.Lock()
 	defer sess.mu.Unlock()
-	snap := SessionSnapshot{Create: sess.create, Ops: sess.ops, Policy: sess.policy}
-	if snap.Ops == nil {
-		snap.Ops = []SessionOp{}
-	}
-	writeJSON(w, http.StatusOK, snap)
+	WriteJSON(w, http.StatusOK, sess.snapshot())
 }
 
-// rebuiltSession is the outcome of replaying a SessionSnapshot into a
-// fresh emulated system.
-type rebuiltSession struct {
+// system is a SessionSnapshot replayed into a fresh emulated system.
+type system struct {
 	env     *env.Env
 	gen     *workload.Generator
 	windows int
-	// req is the snapshot's create request with the seed defaulted — what
-	// the rebuilt session's create field must hold so a later snapshot
-	// round-trips byte-identically.
-	req CreateRequest
+	// snap is the input snapshot with the seed defaulted — what the
+	// session must report so a later snapshot round-trips byte-identically.
+	snap SessionSnapshot
 }
 
-// buildFromSnapshot rebuilds an emulated system from a snapshot: a fresh
-// system from the creation request, the operation log replayed in order,
-// the attached policy validated against the result. Shared by POST
-// …/restore and admin rehydrate — both owe their byte-identical round-trip
-// guarantee to this replay being deterministic.
-func (s *Server) buildFromSnapshot(snap SessionSnapshot, faultsTotal, crashed *obs.Counter) (rebuiltSession, ErrorCode, error) {
-	req := snap.Create
+// build is the one builder of emulated systems: engine, cluster, workload
+// and env from snap's creation request, then the operation log replayed in
+// order and the attached policy validated against the result. Create (a
+// snapshot with no ops), rehydrate and restore all go through it and owe
+// their byte-identical round trip to the replay being deterministic. A
+// failing creation request reports the create endpoint's code
+// (unknown_ensemble, bad_session_config, bad_fault_plan); replay and
+// policy failures report bad_snapshot.
+func build(snap SessionSnapshot, faultsTotal, crashed *obs.Counter) (system, ErrorCode, error) {
+	req := &snap.Create
 	if req.Seed == 0 {
 		req.Seed = 1
 	}
-	e, gen, _, err := s.buildSystem(req, faultsTotal, crashed)
-	if err != nil {
-		return rebuiltSession{}, CodeBadSnapshot, fmt.Errorf("snapshot create request: %w", err)
+	ens, ok := workflow.ByName(req.Ensemble)
+	if !ok {
+		return system{}, CodeUnknownEnsemble, fmt.Errorf("unknown ensemble %q", req.Ensemble)
 	}
+	if req.TTLSeconds < 0 {
+		return system{}, CodeBadSessionConfig,
+			fmt.Errorf("ttl_seconds must be non-negative, got %g", req.TTLSeconds)
+	}
+	if req.IdleTimeoutSeconds < 0 {
+		return system{}, CodeBadSessionConfig,
+			fmt.Errorf("idle_timeout_seconds must be non-negative, got %g", req.IdleTimeoutSeconds)
+	}
+	engine := sim.NewEngine()
+	streams := sim.NewStreams(req.Seed)
+	copts := []cluster.Option{cluster.WithFaultMetrics(faultsTotal, crashed)}
+	if req.Faults != nil {
+		copts = append(copts, cluster.WithFaultPlan(*req.Faults))
+	}
+	c, err := cluster.New(cluster.Config{
+		Ensemble: ens, Engine: engine, Streams: streams,
+	}, copts...)
+	if err != nil {
+		code := CodeBadSessionConfig
+		if req.Faults != nil && req.Faults.Validate(ens.NumTasks()) != nil {
+			code = CodeBadFaultPlan
+		}
+		return system{}, code, err
+	}
+	rates := req.Rates
+	if rates == nil {
+		rates = workload.DefaultRates(ens)
+	}
+	gen, err := workload.NewGenerator(c, streams, engine, rates)
+	if err != nil {
+		return system{}, CodeBadSessionConfig, err
+	}
+	gen.Start()
+	e, err := env.New(env.Config{
+		Cluster:      c,
+		Generator:    gen,
+		Budget:       req.Budget,
+		WindowSec:    req.WindowSec,
+		FailureAware: req.FailureAware,
+	})
+	if err != nil {
+		return system{}, CodeBadSessionConfig, err
+	}
+
 	windows := 0
 	for i, op := range snap.Ops {
 		switch op.Kind {
 		case opKindStep:
 			if _, err := e.Step(op.Alloc); err != nil {
-				return rebuiltSession{}, CodeBadSnapshot, fmt.Errorf("replay op %d (step): %w", i, err)
+				return system{}, CodeBadSnapshot, fmt.Errorf("replay op %d (step): %w", i, err)
 			}
 			windows++
 		case opKindReset:
 			e.Reset()
 		case opKindBurst:
 			if err := gen.InjectBurst(op.Counts); err != nil {
-				return rebuiltSession{}, CodeBadSnapshot, fmt.Errorf("replay op %d (burst): %w", i, err)
+				return system{}, CodeBadSnapshot, fmt.Errorf("replay op %d (burst): %w", i, err)
 			}
 		case opKindFaults:
 			if op.Plan == nil {
-				return rebuiltSession{}, CodeBadSnapshot, fmt.Errorf("replay op %d (faults): missing plan", i)
+				return system{}, CodeBadSnapshot, fmt.Errorf("replay op %d (faults): missing plan", i)
 			}
-			if err := e.Cluster().ScheduleFaults(*op.Plan); err != nil {
-				return rebuiltSession{}, CodeBadSnapshot, fmt.Errorf("replay op %d (faults): %w", i, err)
+			if err := c.ScheduleFaults(*op.Plan); err != nil {
+				return system{}, CodeBadSnapshot, fmt.Errorf("replay op %d (faults): %w", i, err)
 			}
 		default:
-			return rebuiltSession{}, CodeBadSnapshot, fmt.Errorf("replay op %d: unknown kind %q", i, op.Kind)
+			return system{}, CodeBadSnapshot, fmt.Errorf("replay op %d: unknown kind %q", i, op.Kind)
 		}
 	}
 	if snap.Policy != nil {
 		if err := validatePolicyFor(snap.Policy, e); err != nil {
-			return rebuiltSession{}, CodeBadSnapshot, err
+			return system{}, CodeBadSnapshot, err
 		}
 	}
-	return rebuiltSession{env: e, gen: gen, windows: windows, req: req}, "", nil
+	return system{env: e, gen: gen, windows: windows, snap: snap}, "", nil
 }
 
-// handleRestore rebuilds the session from a snapshot: a fresh emulated
-// system from the creation request, the operation log replayed in order.
-// The swap is atomic from the client's view — any failure leaves the
-// current session untouched. Fault counters are cumulative across the
-// session's metric series, so replayed fault activations count again.
+// install is the session's field list: it points sess at a built system,
+// takes the snapshot's history, policy and lifecycle bounds, and clears
+// every piece of controller state derived from a previous system. Callers
+// hold sess.mu or own sess exclusively (admit, before the insert).
+func (sess *session) install(sys system) {
+	sess.env = sys.env
+	sess.generator = sys.gen
+	sess.windows = sys.windows
+	sess.create = sys.snap.Create
+	sess.ops = sys.snap.Ops
+	sess.policy = sys.snap.Policy
+	sess.fallback = nil
+	sess.healthyProbes = 0
+	sess.scratch = nil
+	sess.prev = env.StepResult{}
+	sess.havePrev = false
+	sess.ttl = time.Duration(sys.snap.Create.TTLSeconds * float64(time.Second))
+	sess.idle = time.Duration(sys.snap.Create.IdleTimeoutSeconds * float64(time.Second))
+}
+
+// handleRestore rebuilds the session from a posted snapshot through the
+// same build and install steps as admit. The session object itself stays —
+// other requests may be queued on its lock — and the swap is atomic from
+// the client's view: any failure leaves the current session untouched.
+// Fault counters are cumulative across the session's metric series, so
+// replayed fault activations count again.
 func (s *Server) handleRestore(w http.ResponseWriter, r *http.Request) {
 	var snap SessionSnapshot
 	if !decodeBody(w, r, &snap) {
@@ -307,28 +383,17 @@ func (s *Server) handleRestore(w http.ResponseWriter, r *http.Request) {
 	span := obs.SpanFromContext(r.Context()).Child("session.restore").
 		Str("session", sess.id).Int("ops", len(snap.Ops))
 	defer span.End()
-	built, code, err := s.buildFromSnapshot(snap, sess.faultsTotal, sess.crashed)
+	sys, code, err := build(snap, sess.faultsTotal, sess.crashed)
 	if err != nil {
-		writeError(w, http.StatusUnprocessableEntity, code, err)
+		if code != CodeBadSnapshot {
+			err = fmt.Errorf("snapshot create request: %w", err)
+		}
+		WriteError(w, http.StatusUnprocessableEntity, CodeBadSnapshot, err)
 		return
 	}
-	sess.env = built.env
-	sess.generator = built.gen
-	sess.ensemble = built.req.Ensemble
-	sess.create = built.req
-	sess.ops = snap.Ops
-	sess.windows = built.windows
-	sess.policy = snap.Policy
-	sess.fallback = nil
-	sess.healthyProbes = 0
-	sess.scratch = nil
-	sess.prev = env.StepResult{}
-	sess.havePrev = false
-	// The snapshot's lifecycle bounds replace the session's.
-	sess.ttl = time.Duration(built.req.TTLSeconds * float64(time.Second))
-	sess.idle = time.Duration(built.req.IdleTimeoutSeconds * float64(time.Second))
+	sess.install(sys)
 	sess.syncGauges()
-	writeJSON(w, http.StatusOK, sessionInfo(sess))
+	WriteJSON(w, http.StatusOK, sessionInfo(sess))
 }
 
 // --- protective middlewares ---
@@ -345,9 +410,9 @@ func maxBodyMiddleware(n int64, next http.Handler) http.Handler {
 }
 
 // bufferedResponse accumulates a handler's full response in memory so the
-// timeout middleware can atomically either flush it or discard it in favor
-// of a 408 envelope. Handler responses here are small (session info, step
-// stats), so buffering is cheap.
+// deadline middleware can atomically either flush it or discard it in favor
+// of a timeout envelope. Handler responses here are small (session info,
+// step stats), so buffering is cheap.
 type bufferedResponse struct {
 	header http.Header
 	status int
@@ -360,59 +425,55 @@ func (b *bufferedResponse) WriteHeader(status int) { b.status = status }
 
 func (b *bufferedResponse) Write(p []byte) (int, error) { return b.body.Write(p) }
 
-// deadlineMiddleware honors the caller's propagated deadline: a request
-// carrying DeadlineHeader (remaining budget in whole milliseconds) is
-// bounded by a context deadline and answered 504 deadline_exceeded once
-// the budget is spent — the caller has already given up, so the work is
-// abandoned, not finished. Requests without the header pass through
-// untouched. An already-exhausted budget (≤ 0 ms) is refused before the
-// handler runs at all.
-func deadlineMiddleware(next http.Handler) http.Handler {
+// ReadDeadline parses the caller's propagated budget from DeadlineHeader
+// (whole milliseconds); budget is 0 when the header is absent. A malformed
+// header is answered 400 bad_request and an already-exhausted budget
+// (≤ 0 ms) 504 deadline_exceeded, before any work runs; ok is false once
+// the response has been written. miras-router parses the header through
+// the same function, so both hops refuse the same inputs identically.
+func ReadDeadline(w http.ResponseWriter, r *http.Request) (budget time.Duration, ok bool) {
+	raw := r.Header.Get(DeadlineHeader)
+	if raw == "" {
+		return 0, true
+	}
+	ms, err := strconv.ParseInt(raw, 10, 64)
+	if err != nil {
+		WriteError(w, http.StatusBadRequest, CodeBadRequest,
+			fmt.Errorf("invalid %s header %q", DeadlineHeader, raw))
+		return 0, false
+	}
+	if ms <= 0 {
+		WriteError(w, http.StatusGatewayTimeout, CodeDeadlineExceeded,
+			fmt.Errorf("request deadline already exhausted"))
+		return 0, false
+	}
+	return time.Duration(ms) * time.Millisecond, true
+}
+
+// deadlineMiddleware bounds each handler by the tighter of two deadlines:
+// the caller's propagated budget (ReadDeadline) and the server's own
+// request timeout (serverTimeout; ≤ 0 means none). The handler writes into
+// a buffer while it races the deadline, so the client gets either the
+// complete response or a clean envelope, never a half-written body. When
+// the client's budget is the tighter or equal bound, expiry answers 504
+// deadline_exceeded — the caller has already given up, so the work is
+// abandoned, not finished; when the server's is, 408 request_timeout. With
+// neither bound set the request passes through untouched.
+func deadlineMiddleware(serverTimeout time.Duration, next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		raw := r.Header.Get(DeadlineHeader)
-		if raw == "" {
+		budget, ok := ReadDeadline(w, r)
+		if !ok {
+			return
+		}
+		clientBound := budget > 0 && (serverTimeout <= 0 || budget <= serverTimeout)
+		d := serverTimeout
+		if clientBound {
+			d = budget
+		}
+		if d <= 0 {
 			next.ServeHTTP(w, r)
 			return
 		}
-		ms, err := strconv.ParseInt(raw, 10, 64)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, CodeBadRequest,
-				fmt.Errorf("invalid %s header %q", DeadlineHeader, raw))
-			return
-		}
-		if ms <= 0 {
-			writeError(w, http.StatusGatewayTimeout, CodeDeadlineExceeded,
-				fmt.Errorf("request deadline already exhausted"))
-			return
-		}
-		ctx, cancel := context.WithTimeout(r.Context(), time.Duration(ms)*time.Millisecond)
-		defer cancel()
-		buf := &bufferedResponse{header: make(http.Header), status: http.StatusOK}
-		done := make(chan struct{})
-		go func() {
-			defer close(done)
-			next.ServeHTTP(buf, r.WithContext(ctx))
-		}()
-		select {
-		case <-done:
-			h := w.Header()
-			for k, vs := range buf.header {
-				h[k] = vs
-			}
-			w.WriteHeader(buf.status)
-			_, _ = w.Write(buf.body.Bytes())
-		case <-ctx.Done():
-			writeError(w, http.StatusGatewayTimeout, CodeDeadlineExceeded,
-				fmt.Errorf("request exceeded its %dms deadline", ms))
-		}
-	})
-}
-
-// timeoutMiddleware bounds handler execution at d. Responses are buffered,
-// so a request that exceeds the deadline yields a clean 408
-// request_timeout envelope instead of a half-written body.
-func timeoutMiddleware(d time.Duration, next http.Handler) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		ctx, cancel := context.WithTimeout(r.Context(), d)
 		defer cancel()
 		buf := &bufferedResponse{header: make(http.Header), status: http.StatusOK}
@@ -430,8 +491,13 @@ func timeoutMiddleware(d time.Duration, next http.Handler) http.Handler {
 			w.WriteHeader(buf.status)
 			_, _ = w.Write(buf.body.Bytes())
 		case <-ctx.Done():
-			writeError(w, http.StatusRequestTimeout, CodeRequestTimeout,
-				fmt.Errorf("request exceeded the %s deadline", d))
+			if clientBound {
+				WriteError(w, http.StatusGatewayTimeout, CodeDeadlineExceeded,
+					fmt.Errorf("request exceeded its %dms deadline", budget.Milliseconds()))
+			} else {
+				WriteError(w, http.StatusRequestTimeout, CodeRequestTimeout,
+					fmt.Errorf("request exceeded the %s deadline", d))
+			}
 		}
 	})
 }

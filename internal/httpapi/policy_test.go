@@ -10,7 +10,6 @@ import (
 	"reflect"
 	"strings"
 	"testing"
-	"time"
 
 	"miras/internal/faults"
 	"miras/internal/nn"
@@ -271,36 +270,4 @@ func TestBodyLimit(t *testing.T) {
 	}
 	// Small bodies still work.
 	c.createSession(4)
-}
-
-func TestTimeoutMiddleware(t *testing.T) {
-	slow := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		select {
-		case <-r.Context().Done():
-		case <-time.After(5 * time.Second):
-		}
-		w.WriteHeader(http.StatusOK)
-	})
-	h := timeoutMiddleware(20*time.Millisecond, slow)
-	rec := httptest.NewRecorder()
-	h.ServeHTTP(rec, httptest.NewRequest("GET", "/", nil))
-	if rec.Code != http.StatusRequestTimeout {
-		t.Fatalf("slow handler status %d, want 408", rec.Code)
-	}
-	want := `{"error":{"code":"request_timeout","message":"request exceeded the 20ms deadline"}}` + "\n"
-	if rec.Body.String() != want {
-		t.Fatalf("envelope %q, want %q", rec.Body.String(), want)
-	}
-
-	// Fast handlers pass through untouched: status, headers, body.
-	fast := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("X-Probe", "ok")
-		w.WriteHeader(http.StatusTeapot)
-		fmt.Fprint(w, "hello")
-	})
-	rec = httptest.NewRecorder()
-	timeoutMiddleware(time.Second, fast).ServeHTTP(rec, httptest.NewRequest("GET", "/", nil))
-	if rec.Code != http.StatusTeapot || rec.Body.String() != "hello" || rec.Header().Get("X-Probe") != "ok" {
-		t.Fatalf("fast handler mangled: %d %q %q", rec.Code, rec.Body.String(), rec.Header().Get("X-Probe"))
-	}
 }

@@ -78,39 +78,93 @@ func TestDeadlineHeaderValidation(t *testing.T) {
 	}
 }
 
-// TestDeadlineMiddlewareExpiry exercises the middleware against a handler
-// that outlives the budget: the client gets a clean 504 deadline_exceeded
-// envelope while the abandoned handler's late writes go to the buffer, not
-// the wire.
+const (
+	timeout408 = `{"error":{"code":"request_timeout","message":"request exceeded the 20ms deadline"}}` + "\n"
+	deadline30 = `{"error":{"code":"deadline_exceeded","message":"request exceeded its 30ms deadline"}}` + "\n"
+	deadline20 = `{"error":{"code":"deadline_exceeded","message":"request exceeded its 20ms deadline"}}` + "\n"
+)
+
+// deadlineCases is one table over (client budget, server timeout) for
+// deadlineMiddleware. The tighter bound fires, with the client winning ties:
+// 504 deadline_exceeded naming the client's budget, or 408 request_timeout
+// naming the server's. A handler that outlives the bound gets its late
+// writes buffered, not sent; a handler that finishes in time, or runs with
+// neither bound set, passes through with its status, headers and body
+// untouched.
+var deadlineCases = []struct {
+	name   string
+	client string // DeadlineHeader value; "" sends none
+	server time.Duration
+	slow   bool
+	status int
+	body   string
+}{
+	{"server bound only", "", 20 * time.Millisecond, true, http.StatusRequestTimeout, timeout408},
+	{"client bound only", "30", 0, true, http.StatusGatewayTimeout, deadline30},
+	{"client tighter", "30", time.Second, true, http.StatusGatewayTimeout, deadline30},
+	{"server tighter", "1000", 20 * time.Millisecond, true, http.StatusRequestTimeout, timeout408},
+	{"equal bounds, client wins", "20", 20 * time.Millisecond, true, http.StatusGatewayTimeout, deadline20},
+	{"neither set", "", 0, false, http.StatusTeapot, "hello"},
+	{"server bound, fast handler", "", time.Second, false, http.StatusTeapot, "hello"},
+	{"client bound, fast handler", "1000", 0, false, http.StatusTeapot, "hello"},
+}
+
+// TestTimeoutMiddleware runs the deadlineCases rows that carry no client
+// budget: the server's request timeout alone, or no bound at all.
+func TestTimeoutMiddleware(t *testing.T) {
+	runDeadlineCases(t, false)
+}
+
+// TestDeadlineMiddlewareExpiry runs the deadlineCases rows that carry a
+// client budget, alone or racing the server's request timeout.
 func TestDeadlineMiddlewareExpiry(t *testing.T) {
-	released := make(chan struct{})
-	h := deadlineMiddleware(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		<-r.Context().Done()
-		// Outlive the deadline by a margin so the middleware's select
-		// deterministically sees the expiry, not the handler's return.
-		time.Sleep(150 * time.Millisecond)
-		w.WriteHeader(http.StatusOK)
-		w.Write([]byte("too late"))
-		close(released)
-	}))
-	req := httptest.NewRequest("GET", "/v1/sessions/s1", nil)
-	req.Header.Set(DeadlineHeader, "30")
-	rec := httptest.NewRecorder()
-	h.ServeHTTP(rec, req)
-	if rec.Code != http.StatusGatewayTimeout {
-		t.Fatalf("status %d, want 504", rec.Code)
+	runDeadlineCases(t, true)
+}
+
+func runDeadlineCases(t *testing.T, withClient bool) {
+	for _, tc := range deadlineCases {
+		if (tc.client != "") != withClient {
+			continue
+		}
+		t.Run(tc.name, func(t *testing.T) {
+			released := make(chan struct{})
+			direct := false
+			rec := httptest.NewRecorder()
+			h := deadlineMiddleware(tc.server, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				defer close(released)
+				direct = w == http.ResponseWriter(rec)
+				if tc.slow {
+					<-r.Context().Done()
+					// Outlive the deadline by a margin so the middleware's
+					// select deterministically sees the expiry, not the
+					// handler's return.
+					time.Sleep(150 * time.Millisecond)
+					w.WriteHeader(http.StatusOK)
+					w.Write([]byte("too late"))
+					return
+				}
+				w.Header().Set("X-Probe", "ok")
+				w.WriteHeader(http.StatusTeapot)
+				fmt.Fprint(w, "hello")
+			}))
+			req := httptest.NewRequest("GET", "/v1/sessions/s1", nil)
+			if tc.client != "" {
+				req.Header.Set(DeadlineHeader, tc.client)
+			}
+			h.ServeHTTP(rec, req)
+			<-released
+			if rec.Code != tc.status || rec.Body.String() != tc.body {
+				t.Fatalf("got %d %q, want %d %q", rec.Code, rec.Body.String(), tc.status, tc.body)
+			}
+			if !tc.slow && rec.Header().Get("X-Probe") != "ok" {
+				t.Fatalf("handler header lost: %v", rec.Header())
+			}
+			// With no bound the middleware must not interpose a buffer at all.
+			if want := tc.client == "" && tc.server == 0; direct != want {
+				t.Fatalf("handler wrote to the client's writer directly = %v, want %v", direct, want)
+			}
+		})
 	}
-	var env ErrorEnvelope
-	if err := json.NewDecoder(rec.Body).Decode(&env); err != nil {
-		t.Fatal(err)
-	}
-	if env.Error.Code != CodeDeadlineExceeded {
-		t.Fatalf("code %q, want %q", env.Error.Code, CodeDeadlineExceeded)
-	}
-	if !strings.Contains(env.Error.Message, "30ms") {
-		t.Fatalf("message %q does not name the budget", env.Error.Message)
-	}
-	<-released
 }
 
 // fleetPair builds two in-process shard "processes" sharing a spill

@@ -54,17 +54,26 @@
 //
 // # Session lifecycle
 //
+// A session has one way in and one way out. Every session is built from a
+// SessionSnapshot: POST /v1/sessions admits a snapshot with no ops,
+// POST /v1/admin/rehydrate admits a spilled one, and POST …/restore
+// rebuilds the live session in place from a posted one. All three run the
+// same builder (fresh system from the creation request, operation log
+// replayed) and the same field-install step; create and rehydrate also
+// share admission (slot reservation, fault counters, shard insert, and the
+// rollback of all of it on failure). DELETE, TTL/idle eviction and drain
+// all retire a session through the same unregister step.
+//
 // CreateRequest.TTLSeconds bounds a session's wall-clock lifetime and
 // IdleTimeoutSeconds bounds the gap between requests; an expired session is
 // evicted lazily on access and by Server.SweepExpired (miras-server runs a
 // sweeper goroutine). Evicted ids are remembered in a per-shard tombstone
 // ring and answer 410 session_expired, distinguishing "expired" from
-// "never existed". When a spill store is configured (WithSpillDir),
-// eviction writes the session's SessionSnapshot to a crash-safe
-// checkpoint store; POST /v1/admin/drain spills and evicts every session
-// so the process can be retired, and POST /v1/admin/rehydrate on another
-// process sharing the directory rebuilds them byte-identically through the
-// restore path.
+// "never existed"; DELETE does not tombstone. When a spill store is
+// configured (WithSpillDir), eviction writes the session's SessionSnapshot
+// to a crash-safe checkpoint store; POST /v1/admin/drain spills and evicts
+// every session so the process can be retired, and POST /v1/admin/rehydrate
+// on another process sharing the directory rebuilds them byte-identically.
 //
 // # Self-healing serving
 //
@@ -96,13 +105,11 @@ import (
 	"time"
 
 	"miras/internal/baselines"
-	"miras/internal/cluster"
 	"miras/internal/env"
 	"miras/internal/faults"
 	"miras/internal/obs"
 	"miras/internal/rl"
 	"miras/internal/shardring"
-	"miras/internal/sim"
 	"miras/internal/workflow"
 	"miras/internal/workload"
 )
@@ -115,9 +122,10 @@ const SessionIDHeader = "X-Miras-Session-Id"
 
 // DeadlineHeader carries the caller's remaining request budget in whole
 // milliseconds. miras-router recomputes it per upstream attempt; a server
-// seeing it bounds the handler with a context deadline and answers 504
-// deadline_exceeded once the budget is spent, so work the client has
-// already abandoned is not finished on its behalf.
+// seeing it bounds the handler with a context deadline (or its own request
+// timeout, if tighter) and answers 504 deadline_exceeded once the budget is
+// spent, so work the client has already abandoned is not finished on its
+// behalf.
 const DeadlineHeader = "X-Miras-Deadline-Ms"
 
 // FailoverHeader names the dead shard-process a request was re-routed away
@@ -198,7 +206,8 @@ type Server struct {
 
 	// maxBodyBytes caps request-body size (default 64 MiB; ≤0 disables).
 	maxBodyBytes int64
-	// reqTimeout bounds handler execution (0 disables).
+	// reqTimeout bounds handler execution (≤0 disables); a tighter client
+	// deadline takes precedence (see deadlineMiddleware).
 	reqTimeout time.Duration
 
 	// pending options consumed by NewServer after the option loop.
@@ -261,8 +270,8 @@ func WithClock(now func() time.Time) Option {
 // WithSpillDir enables eviction spill: every evicted or drained session's
 // SessionSnapshot is written to a crash-safe checkpoint store under
 // dir/<session id>/, from which POST /v1/admin/rehydrate (on this process
-// or any process sharing the directory) rebuilds the session through the
-// restore path. Empty disables spill.
+// or any process sharing the directory) rebuilds the session from its
+// snapshot. Empty disables spill.
 func WithSpillDir(dir string) Option {
 	return func(s *Server) { s.spillDir = dir }
 }
@@ -303,7 +312,9 @@ func WithMaxBodyBytes(n int64) Option {
 }
 
 // WithRequestTimeout bounds each handler's execution; requests that run
-// longer are answered 408 request_timeout. Zero disables the deadline.
+// longer are answered 408 request_timeout — unless the caller's propagated
+// deadline is as tight or tighter, in which case that bound fires first and
+// answers 504 deadline_exceeded. Zero disables the server's bound.
 func WithRequestTimeout(d time.Duration) Option {
 	return func(s *Server) { s.reqTimeout = d }
 }
@@ -315,7 +326,6 @@ type session struct {
 	mu sync.Mutex
 
 	id        string
-	ensemble  string
 	shardIdx  int
 	env       *env.Env
 	generator *workload.Generator
@@ -331,8 +341,9 @@ type session struct {
 	ttl        time.Duration
 	idle       time.Duration
 
-	// create is the effective creation request (defaults applied); the
-	// snapshot endpoint replays it to rebuild an equivalent session.
+	// create is the effective creation request (defaults applied); with ops
+	// and policy it makes up the session's SessionSnapshot (see snapshot and
+	// install).
 	create CreateRequest
 	// ops logs every state-changing operation since creation, in order,
 	// for snapshot/restore. It grows with session lifetime; long-lived
@@ -472,13 +483,7 @@ func (s *Server) Handler() http.Handler {
 	if s.maxBodyBytes > 0 {
 		h = maxBodyMiddleware(s.maxBodyBytes, h)
 	}
-	if s.reqTimeout > 0 {
-		h = timeoutMiddleware(s.reqTimeout, h)
-	}
-	// Outermost so a client deadline tighter than the server's own request
-	// timeout answers 504 deadline_exceeded, not 408.
-	h = deadlineMiddleware(h)
-	return h
+	return deadlineMiddleware(s.reqTimeout, h)
 }
 
 // instrument wraps h with a per-endpoint request counter, error counter,
@@ -642,61 +647,7 @@ func (s *Server) handleEnsembles(w http.ResponseWriter, _ *http.Request) {
 			Workflows: e.WorkflowNames(),
 		})
 	}
-	writeJSON(w, http.StatusOK, out)
-}
-
-// buildSystem constructs the emulated system (engine, cluster, workload,
-// env) for an effective create request. On failure it returns the error
-// code the caller should report.
-func (s *Server) buildSystem(req CreateRequest, faultsTotal, crashed *obs.Counter) (*env.Env, *workload.Generator, ErrorCode, error) {
-	ens, ok := workflow.ByName(req.Ensemble)
-	if !ok {
-		return nil, nil, CodeUnknownEnsemble, fmt.Errorf("unknown ensemble %q", req.Ensemble)
-	}
-	if req.TTLSeconds < 0 {
-		return nil, nil, CodeBadSessionConfig,
-			fmt.Errorf("ttl_seconds must be non-negative, got %g", req.TTLSeconds)
-	}
-	if req.IdleTimeoutSeconds < 0 {
-		return nil, nil, CodeBadSessionConfig,
-			fmt.Errorf("idle_timeout_seconds must be non-negative, got %g", req.IdleTimeoutSeconds)
-	}
-	engine := sim.NewEngine()
-	streams := sim.NewStreams(req.Seed)
-	copts := []cluster.Option{cluster.WithFaultMetrics(faultsTotal, crashed)}
-	if req.Faults != nil {
-		copts = append(copts, cluster.WithFaultPlan(*req.Faults))
-	}
-	c, err := cluster.New(cluster.Config{
-		Ensemble: ens, Engine: engine, Streams: streams,
-	}, copts...)
-	if err != nil {
-		code := CodeBadSessionConfig
-		if req.Faults != nil && req.Faults.Validate(ens.NumTasks()) != nil {
-			code = CodeBadFaultPlan
-		}
-		return nil, nil, code, err
-	}
-	rates := req.Rates
-	if rates == nil {
-		rates = workload.DefaultRates(ens)
-	}
-	gen, err := workload.NewGenerator(c, streams, engine, rates)
-	if err != nil {
-		return nil, nil, CodeBadSessionConfig, err
-	}
-	gen.Start()
-	e, err := env.New(env.Config{
-		Cluster:      c,
-		Generator:    gen,
-		Budget:       req.Budget,
-		WindowSec:    req.WindowSec,
-		FailureAware: req.FailureAware,
-	})
-	if err != nil {
-		return nil, nil, CodeBadSessionConfig, err
-	}
-	return e, gen, "", nil
+	WriteJSON(w, http.StatusOK, out)
 }
 
 func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
@@ -704,16 +655,12 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 	if !decodeBody(w, r, &req) {
 		return
 	}
-	if req.Seed == 0 {
-		req.Seed = 1
-	}
-
-	// Resolve the id first: a router-minted id arrives in the header and
-	// must belong to this process; otherwise mint from the shared sequence.
+	// A router-minted id arrives in the header and must belong to this
+	// process; without one, admit mints from the shared sequence.
 	id := r.Header.Get(SessionIDHeader)
 	if id != "" {
 		if err := validateID(id); err != nil {
-			writeError(w, http.StatusBadRequest, CodeBadRequest, err)
+			WriteError(w, http.StatusBadRequest, CodeBadRequest, err)
 			return
 		}
 		if s.topo != nil {
@@ -721,73 +668,24 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 			// process adopts its ids for the duration of the outage.
 			if owner := s.topo.ring.Owner(id); owner != s.topo.self &&
 				owner != r.Header.Get(FailoverHeader) {
-				writeError(w, http.StatusMisdirectedRequest, CodeWrongShard,
+				WriteError(w, http.StatusMisdirectedRequest, CodeWrongShard,
 					fmt.Errorf("session %q is owned by shard %s", id, owner))
 				return
 			}
 		}
 	}
-
-	// Reserve a slot against the global bound — an atomic reserve-then-
-	// rollback, so creates on different shards never share a lock.
-	if n := s.live.Add(1); n > int64(s.maxSessions) {
-		s.live.Add(-1)
-		writeError(w, http.StatusTooManyRequests, CodeSessionLimit,
-			fmt.Errorf("session limit %d reached", s.maxSessions))
-		return
-	}
-	release := func() {
-		s.live.Add(-1)
-		s.sessionsLive.Set(float64(s.live.Load()))
-	}
-
-	if id == "" {
-		id = s.mintID()
-	}
-	faultsTotal := s.reg.Counter("miras_faults_total",
-		"Fault events injected (episode activations and consumer crashes), by session.",
-		"session", id)
-	crashed := s.reg.Counter("miras_consumers_crashed",
-		"Consumers killed by fault injection, by session.",
-		"session", id)
-
-	e, gen, code, err := s.buildSystem(req, faultsTotal, crashed)
+	sess, code, err := s.admit(id, SessionSnapshot{Create: req})
 	if err != nil {
-		s.reg.Remove("miras_faults_total", "session", id)
-		s.reg.Remove("miras_consumers_crashed", "session", id)
-		release()
-		writeError(w, http.StatusBadRequest, code, err)
-		return
-	}
-
-	sess := &session{
-		id:          id,
-		ensemble:    req.Ensemble,
-		env:         e,
-		generator:   gen,
-		create:      req,
-		createdAt:   s.now(),
-		ttl:         time.Duration(req.TTLSeconds * float64(time.Second)),
-		idle:        time.Duration(req.IdleTimeoutSeconds * float64(time.Second)),
-		profiler:    s.profiler,
-		faultsTotal: faultsTotal,
-		crashed:     crashed,
-	}
-	sess.touch(sess.createdAt)
-	if code, err := s.insertSession(sess); err != nil {
-		s.reg.Remove("miras_faults_total", "session", id)
-		s.reg.Remove("miras_consumers_crashed", "session", id)
-		release()
 		status := http.StatusBadRequest
 		if code == CodeSessionLimit {
 			status = http.StatusTooManyRequests
 		}
-		writeError(w, status, code, err)
+		WriteError(w, status, code, err)
 		return
 	}
-	sess.syncGauges()
-	s.sessionsLive.Set(float64(s.live.Load()))
-	writeJSON(w, http.StatusCreated, sessionInfo(sess))
+	sess.mu.Lock()
+	defer sess.mu.Unlock()
+	WriteJSON(w, http.StatusCreated, sessionInfo(sess))
 }
 
 func (s *Server) handleInfo(w http.ResponseWriter, r *http.Request) {
@@ -797,7 +695,7 @@ func (s *Server) handleInfo(w http.ResponseWriter, r *http.Request) {
 	}
 	sess.mu.Lock()
 	defer sess.mu.Unlock()
-	writeJSON(w, http.StatusOK, sessionInfo(sess))
+	WriteJSON(w, http.StatusOK, sessionInfo(sess))
 }
 
 // sessionInfo builds the wire view of a session. Callers hold the session
@@ -807,7 +705,7 @@ func sessionInfo(sess *session) SessionInfo {
 	v := c.FaultView()
 	return SessionInfo{
 		ID:                 sess.id,
-		Ensemble:           sess.ensemble,
+		Ensemble:           sess.create.Ensemble,
 		Shard:              sess.shardIdx,
 		StateDim:           sess.env.StateDim(),
 		ActionDim:          sess.env.ActionDim(),
@@ -844,7 +742,7 @@ func (s *Server) handleStep(w http.ResponseWriter, r *http.Request) {
 	// deadline expired while waiting, abandon the step before doing the
 	// simulation work (the deadline middleware owns the 504 response).
 	if err := r.Context().Err(); err != nil {
-		writeError(w, http.StatusGatewayTimeout, CodeDeadlineExceeded,
+		WriteError(w, http.StatusGatewayTimeout, CodeDeadlineExceeded,
 			fmt.Errorf("client deadline expired before the step ran"))
 		return
 	}
@@ -857,7 +755,7 @@ func (s *Server) handleStep(w http.ResponseWriter, r *http.Request) {
 		alloc, controller, err = sess.decideAuto()
 		decideSpan.Str("controller", controller).End()
 		if err != nil {
-			writeError(w, http.StatusConflict, CodeBadPolicy, err)
+			WriteError(w, http.StatusConflict, CodeBadPolicy, err)
 			return
 		}
 	}
@@ -866,7 +764,7 @@ func (s *Server) handleStep(w http.ResponseWriter, r *http.Request) {
 	res, err := sess.env.Step(alloc)
 	if err != nil {
 		stepSpan.Bool("error", true).End()
-		writeError(w, http.StatusUnprocessableEntity, CodeBadAllocation, err)
+		WriteError(w, http.StatusUnprocessableEntity, CodeBadAllocation, err)
 		return
 	}
 	stepSpan.F64("reward", res.Reward).End()
@@ -882,7 +780,7 @@ func (s *Server) handleStep(w http.ResponseWriter, r *http.Request) {
 	sess.ops = append(sess.ops, SessionOp{Kind: opKindStep, Alloc: logged})
 	s.windowsTotal.Inc()
 	sess.syncGauges()
-	writeJSON(w, http.StatusOK, StepResponse{
+	WriteJSON(w, http.StatusOK, StepResponse{
 		State:          res.State,
 		Reward:         res.Reward,
 		Window:         res.Stats.Window,
@@ -911,7 +809,7 @@ func (s *Server) handleReset(w http.ResponseWriter, r *http.Request) {
 	}
 	sess.ops = append(sess.ops, SessionOp{Kind: opKindReset})
 	sess.syncGauges()
-	writeJSON(w, http.StatusOK, map[string][]float64{"state": state})
+	WriteJSON(w, http.StatusOK, map[string][]float64{"state": state})
 }
 
 func (s *Server) handleBurst(w http.ResponseWriter, r *http.Request) {
@@ -926,12 +824,12 @@ func (s *Server) handleBurst(w http.ResponseWriter, r *http.Request) {
 	sess.mu.Lock()
 	defer sess.mu.Unlock()
 	if err := sess.generator.InjectBurst(req.Counts); err != nil {
-		writeError(w, http.StatusUnprocessableEntity, CodeBadBurst, err)
+		WriteError(w, http.StatusUnprocessableEntity, CodeBadBurst, err)
 		return
 	}
 	sess.ops = append(sess.ops, SessionOp{Kind: opKindBurst, Counts: req.Counts})
 	sess.syncGauges()
-	writeJSON(w, http.StatusOK, map[string][]float64{"state": sess.env.State()})
+	WriteJSON(w, http.StatusOK, map[string][]float64{"state": sess.env.State()})
 }
 
 func (s *Server) handleFaults(w http.ResponseWriter, r *http.Request) {
@@ -946,30 +844,19 @@ func (s *Server) handleFaults(w http.ResponseWriter, r *http.Request) {
 	sess.mu.Lock()
 	defer sess.mu.Unlock()
 	if err := sess.env.Cluster().ScheduleFaults(plan); err != nil {
-		writeError(w, http.StatusUnprocessableEntity, CodeBadFaultPlan, err)
+		WriteError(w, http.StatusUnprocessableEntity, CodeBadFaultPlan, err)
 		return
 	}
 	sess.ops = append(sess.ops, SessionOp{Kind: opKindFaults, Plan: &plan})
-	writeJSON(w, http.StatusOK, sessionInfo(sess))
+	WriteJSON(w, http.StatusOK, sessionInfo(sess))
 }
 
 func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
-	sh := s.shardFor(id)
-	sh.mu.Lock()
-	_, ok := sh.sessions[id]
-	if ok {
-		delete(sh.sessions, id)
-		sh.liveGauge.Set(float64(len(sh.sessions)))
-	}
-	sh.mu.Unlock()
-	if !ok {
-		s.writeMiss(w, r, sh, id)
+	if sess := s.sessionByID(id); sess == nil || !s.unregister(sess, "") {
+		s.writeMiss(w, r, s.shardFor(id), id)
 		return
 	}
-	s.live.Add(-1)
-	s.dropSessionObs(id)
-	s.sessionsLive.Set(float64(s.live.Load()))
 	// A deleted session must stay deleted: drop any spilled snapshot so a
 	// later rehydrate (failover or restart) cannot resurrect it.
 	s.removeSpill(id)

@@ -90,39 +90,145 @@ func (s *Server) mintID() string {
 	}
 }
 
-// insertSession registers the session's remaining metric series and
-// inserts it into its shard, enforcing the per-shard bound and id
-// uniqueness. The caller has already reserved a slot against the global
-// bound. On CodeBadRequest (duplicate id) the caller must NOT remove the
-// session's fault counters — they alias the live session's series.
-func (s *Server) insertSession(sess *session) (ErrorCode, error) {
-	sh := s.shardFor(sess.id)
-	sess.shardIdx = sh.idx
+// admit is the one way a session enters the registry; create and
+// rehydrate both call it (restore rebuilds a live session in place with the
+// same build and install steps). It reserves a slot against the global
+// bound — an atomic reserve-then-rollback, so admits on different shards
+// never share a lock — mints an id when none is given, registers the
+// session's fault counters, builds the emulated system from snap, installs
+// the session's fields, and inserts it into its shard under the per-shard
+// bound and id uniqueness. On failure all of it is rolled back, except the
+// fault series of a live session that already holds the id: the registry
+// handed this admit that session's own counters.
+func (s *Server) admit(id string, snap SessionSnapshot) (*session, ErrorCode, error) {
+	if n := s.live.Add(1); n > int64(s.maxSessions) {
+		s.live.Add(-1)
+		return nil, CodeSessionLimit, fmt.Errorf("session limit %d reached", s.maxSessions)
+	}
+	if id == "" {
+		id = s.mintID()
+	}
+	sh := s.shardFor(id)
+	sess := &session{
+		id:        id,
+		shardIdx:  sh.idx,
+		createdAt: s.now(),
+		profiler:  s.profiler,
+		faultsTotal: s.reg.Counter("miras_faults_total",
+			"Fault events injected (episode activations and consumer crashes), by session.",
+			"session", id),
+		crashed: s.reg.Counter("miras_consumers_crashed",
+			"Consumers killed by fault injection, by session.",
+			"session", id),
+	}
+	sess.touch(sess.createdAt)
+	sys, code, err := build(snap, sess.faultsTotal, sess.crashed)
+
 	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if _, exists := sh.sessions[sess.id]; exists {
-		return CodeBadRequest, fmt.Errorf("session %q already exists", sess.id)
-	}
-	if s.maxPerShard > 0 && len(sh.sessions) >= s.maxPerShard {
-		return CodeSessionLimit,
+	_, dup := sh.sessions[id]
+	switch {
+	case err != nil:
+	case dup:
+		code, err = CodeBadRequest, fmt.Errorf("session %q already exists", id)
+	case s.maxPerShard > 0 && len(sh.sessions) >= s.maxPerShard:
+		code, err = CodeSessionLimit,
 			fmt.Errorf("shard %d session limit %d reached", sh.idx, s.maxPerShard)
+	default:
+		sess.install(sys)
+		sess.wip = s.reg.Gauge("miras_env_wip",
+			"Total work-in-progress (queued + in-service tasks), by session.",
+			"session", id)
+		sess.inflight = s.reg.Gauge("miras_cluster_inflight",
+			"Live (incomplete) workflow instances, by session.",
+			"session", id)
+		sess.fallbackTotal = s.reg.Counter("miras_controller_fallback_total",
+			"Policy failures that degraded the session to the HPA baseline, by session.",
+			"session", id)
+		sess.recoveredTotal = s.reg.Counter("miras_controller_recovered_total",
+			"Policies restored to control after passing health probes, by session.",
+			"session", id)
+		sess.syncGauges()
+		sh.tombs.remove(id)
+		sh.sessions[id] = sess
+		sh.liveGauge.Set(float64(len(sh.sessions)))
 	}
-	sess.wip = s.reg.Gauge("miras_env_wip",
-		"Total work-in-progress (queued + in-service tasks), by session.",
-		"session", sess.id)
-	sess.inflight = s.reg.Gauge("miras_cluster_inflight",
-		"Live (incomplete) workflow instances, by session.",
-		"session", sess.id)
-	sess.fallbackTotal = s.reg.Counter("miras_controller_fallback_total",
-		"Policy failures that degraded the session to the HPA baseline, by session.",
-		"session", sess.id)
-	sess.recoveredTotal = s.reg.Counter("miras_controller_recovered_total",
-		"Policies restored to control after passing health probes, by session.",
-		"session", sess.id)
-	sh.tombs.remove(sess.id)
-	sh.sessions[sess.id] = sess
+	if err != nil && !dup {
+		s.reg.Remove("miras_faults_total", "session", id)
+		s.reg.Remove("miras_consumers_crashed", "session", id)
+	}
+	sh.mu.Unlock()
+
+	if err != nil {
+		s.live.Add(-1)
+		sess = nil
+	}
+	s.sessionsLive.Set(float64(s.live.Load()))
+	return sess, code, err
+}
+
+// sessionSeries names every per-session metric family; unregister removes
+// the session's series from each.
+var sessionSeries = []string{
+	"miras_env_wip", "miras_cluster_inflight",
+	"miras_faults_total", "miras_consumers_crashed",
+	"miras_controller_fallback_total", "miras_controller_recovered_total",
+}
+
+// unregister is the one way a session leaves the registry; DELETE, TTL and
+// idle eviction, and drain all call it. If sess is still the session
+// registered under its id, it is removed from its shard, its slot against
+// the global bound is freed, and its metric series and trace spans are
+// dropped (the time-series ring prunes removed series on its next sample).
+// A non-empty reason ("ttl", "idle", "drain") marks an eviction: the id is
+// tombstoned, so it answers 410, and counted in
+// miras_sessions_evicted_total; a DELETE passes "" and leaves no tombstone.
+// It reports whether this call removed the session (false when a
+// concurrent unregister got there first).
+func (s *Server) unregister(sess *session, reason string) bool {
+	sh := s.shards[sess.shardIdx]
+	sh.mu.Lock()
+	if sh.sessions[sess.id] != sess {
+		sh.mu.Unlock()
+		return false
+	}
+	delete(sh.sessions, sess.id)
+	if reason != "" {
+		sh.tombs.add(sess.id)
+	}
 	sh.liveGauge.Set(float64(len(sh.sessions)))
-	return "", nil
+	sh.mu.Unlock()
+
+	s.live.Add(-1)
+	s.sessionsLive.Set(float64(s.live.Load()))
+	for _, name := range sessionSeries {
+		s.reg.Remove(name, "session", sess.id)
+	}
+	s.tracer.Ring().DropSession(sess.id)
+	if reason != "" {
+		s.reg.Counter("miras_sessions_evicted_total",
+			"Sessions evicted, by shard and reason (ttl, idle, drain).",
+			"shard", strconv.Itoa(sh.idx), "reason", reason).Inc()
+	}
+	return true
+}
+
+// each calls f on every registered session, shard by shard, until f
+// returns false. A shard's sessions are collected under its read lock and
+// f runs outside it, so f may lock sessions, spill and unregister them.
+func (s *Server) each(f func(*session) bool) {
+	for _, sh := range s.shards {
+		sh.mu.RLock()
+		batch := make([]*session, 0, len(sh.sessions))
+		for _, sess := range sh.sessions {
+			batch = append(batch, sess)
+		}
+		sh.mu.RUnlock()
+		for _, sess := range batch {
+			if !f(sess) {
+				return
+			}
+		}
+	}
 }
 
 // lookup resolves the request's {id} to a live session, handling the full
@@ -131,10 +237,7 @@ func (s *Server) insertSession(sess *session) (ErrorCode, error) {
 // returning; callers take the session's own lock before touching its
 // state.
 func (s *Server) lookup(w http.ResponseWriter, r *http.Request) (*session, bool) {
-	return s.resolve(w, r, r.PathValue("id"))
-}
-
-func (s *Server) resolve(w http.ResponseWriter, r *http.Request, id string) (*session, bool) {
+	id := r.PathValue("id")
 	sh := s.shardFor(id)
 	sh.mu.RLock()
 	sess, ok := sh.sessions[id]
@@ -145,8 +248,8 @@ func (s *Server) resolve(w http.ResponseWriter, r *http.Request, id string) (*se
 	}
 	now := s.now()
 	if reason, exp := sess.expired(now); exp {
-		s.evict(sh, sess, reason)
-		writeError(w, http.StatusGone, CodeSessionExpired,
+		s.evict(sess, reason)
+		WriteError(w, http.StatusGone, CodeSessionExpired,
 			fmt.Errorf("session %q expired", id))
 		return nil, false
 	}
@@ -167,98 +270,59 @@ func (s *Server) writeMiss(w http.ResponseWriter, r *http.Request, sh *shard, id
 	tomb := sh.tombs.has(id)
 	sh.mu.RUnlock()
 	if tomb {
-		writeError(w, http.StatusGone, CodeSessionExpired,
+		WriteError(w, http.StatusGone, CodeSessionExpired,
 			fmt.Errorf("session %q expired", id))
 		return
 	}
 	if s.topo != nil {
 		if owner := s.topo.ring.Owner(id); owner != s.topo.self &&
 			owner != r.Header.Get(FailoverHeader) {
-			writeError(w, http.StatusMisdirectedRequest, CodeWrongShard,
+			WriteError(w, http.StatusMisdirectedRequest, CodeWrongShard,
 				fmt.Errorf("session %q is owned by shard %s", id, owner))
 			return
 		}
 	}
-	writeError(w, http.StatusNotFound, CodeSessionNotFound,
+	WriteError(w, http.StatusNotFound, CodeSessionNotFound,
 		fmt.Errorf("no session %q", id))
 }
 
-// evict removes sess from its shard, tombstones the id, spills the
-// session's snapshot when a spill store is configured (best-effort —
-// failures increment miras_spill_errors_total), and drops the session's
-// metric and trace series. Reports whether this call performed the
-// eviction (false when a concurrent evict/delete got there first).
-func (s *Server) evict(sh *shard, sess *session, reason string) bool {
-	sh.mu.Lock()
-	cur, ok := sh.sessions[sess.id]
-	if !ok || cur != sess {
-		sh.mu.Unlock()
+// evict retires an expired session: unregistered and tombstoned, then
+// spilled when a spill store is configured (best-effort — failures
+// increment miras_spill_errors_total). Reports whether this call performed
+// the eviction.
+func (s *Server) evict(sess *session, reason string) bool {
+	if !s.unregister(sess, reason) {
 		return false
 	}
-	delete(sh.sessions, sess.id)
-	sh.tombs.add(sess.id)
-	sh.liveGauge.Set(float64(len(sh.sessions)))
-	sh.mu.Unlock()
-	s.live.Add(-1)
-	s.sessionsLive.Set(float64(s.live.Load()))
 	if s.spillDir != "" {
 		if err := s.spill(sess); err != nil {
 			s.spillErrors.Inc()
 		}
 	}
-	s.dropSessionObs(sess.id)
-	s.reg.Counter("miras_sessions_evicted_total",
-		"Sessions evicted, by shard and reason (ttl, idle, drain).",
-		"shard", strconv.Itoa(sh.idx), "reason", reason).Inc()
 	return true
 }
 
 // SweepExpired evicts every session past its TTL or idle bound, returning
 // the number evicted. miras-server runs this on a ticker; lazy eviction in
-// resolve catches the rest.
+// lookup catches the rest.
 func (s *Server) SweepExpired() int {
 	now := s.now()
 	n := 0
-	for _, sh := range s.shards {
-		var victims []*session
-		var reasons []string
-		sh.mu.RLock()
-		for _, sess := range sh.sessions {
-			if reason, exp := sess.expired(now); exp {
-				victims = append(victims, sess)
-				reasons = append(reasons, reason)
-			}
+	s.each(func(sess *session) bool {
+		if reason, exp := sess.expired(now); exp && s.evict(sess, reason) {
+			n++
 		}
-		sh.mu.RUnlock()
-		for i, sess := range victims {
-			if s.evict(sh, sess, reasons[i]) {
-				n++
-			}
-		}
-	}
+		return true
+	})
 	return n
 }
 
 // sessionByID returns the live session for id, or nil. It does not touch
-// the idle clock and skips the miss ladder — registry access for tests and
-// the rehydrate duplicate check.
+// the idle clock and skips the miss ladder — registry access for DELETE,
+// the rehydrate duplicate check and tests.
 func (s *Server) sessionByID(id string) *session {
 	sh := s.shardFor(id)
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
 	return sh.sessions[id]
-}
-
-// dropSessionObs removes the session's per-session metric series and trace
-// spans after it leaves the registry.
-func (s *Server) dropSessionObs(id string) {
-	s.reg.Remove("miras_env_wip", "session", id)
-	s.reg.Remove("miras_cluster_inflight", "session", id)
-	s.reg.Remove("miras_faults_total", "session", id)
-	s.reg.Remove("miras_consumers_crashed", "session", id)
-	s.reg.Remove("miras_controller_fallback_total", "session", id)
-	s.reg.Remove("miras_controller_recovered_total", "session", id)
-	// Evict the session's spans from the trace ring; the time-series ring
-	// prunes its removed registry series on its next sample.
-	s.tracer.Ring().DropSession(id)
 }

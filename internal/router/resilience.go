@@ -68,11 +68,6 @@ type Resilience struct {
 	Seed int64
 }
 
-// enabled reports whether any resilience mechanism is on.
-func (c Resilience) enabled() bool {
-	return c.MaxRetries > 0 || c.BreakerThreshold > 0 || c.ProbeInterval > 0 || c.Failover
-}
-
 // withDefaults fills the derived defaults for whichever mechanisms are on.
 func (c Resilience) withDefaults() Resilience {
 	if c.MaxRetries > 0 {

@@ -347,9 +347,6 @@ func TestRouteTargetFollowsOverrides(t *testing.T) {
 }
 
 func TestResilienceDefaults(t *testing.T) {
-	if (Resilience{}).enabled() {
-		t.Fatal("zero Resilience reports enabled")
-	}
 	c := Resilience{MaxRetries: 2, BreakerThreshold: 3}.withDefaults()
 	if c.RetryBase != 25*time.Millisecond || c.RetryCap != time.Second {
 		t.Fatalf("retry defaults %v/%v", c.RetryBase, c.RetryCap)
@@ -359,9 +356,6 @@ func TestResilienceDefaults(t *testing.T) {
 	}
 	if c.Seed != 1 {
 		t.Fatalf("seed default %d", c.Seed)
-	}
-	if !c.enabled() {
-		t.Fatal("configured Resilience reports disabled")
 	}
 	// Explicit values survive.
 	c2 := Resilience{MaxRetries: 1, RetryBase: time.Millisecond, RetryCap: 2 * time.Millisecond, Seed: 9}.withDefaults()

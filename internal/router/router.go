@@ -29,6 +29,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/url"
 	"sort"
 	"strconv"
 	"strings"
@@ -179,34 +180,17 @@ func (rt *Router) Handler() http.Handler {
 	return mux
 }
 
-func writeError(w http.ResponseWriter, status int, code httpapi.ErrorCode, err error) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(httpapi.ErrorEnvelope{
-		Error: httpapi.ErrorDetail{Code: code, Message: err.Error()},
-	})
-}
-
-// forward proxies the request to a fixed shard; forwardSession routes by
-// session id, following failover overrides. Both run the same attempt loop.
-func (rt *Router) forward(w http.ResponseWriter, r *http.Request, shard string) {
-	rt.proxy(w, r, shard, "")
-}
-
-func (rt *Router) forwardSession(w http.ResponseWriter, r *http.Request, id string) {
-	rt.proxy(w, r, "", id)
-}
-
-// proxy forwards the request upstream, preserving method, path, query,
-// body, and headers both ways. With resilience disabled this is a single
-// attempt and transport failures become 502 upstream_unreachable envelopes
-// — the uniform error surface clients already parse. With resilience
-// enabled, retryable requests get bounded retries with jittered backoff,
-// each attempt re-routed (an override installed mid-retry redirects the
-// next attempt), gated by the member's circuit breaker, and bounded by the
-// caller's propagated deadline; the final failure is classified as 504
-// deadline_exceeded, 503 upstream_degraded (breaker open), or 502
-// upstream_unreachable.
+// proxy forwards the request upstream — to the fixed shard when one is
+// given, else to the owner of session id, following failover overrides —
+// preserving method, path, query, body, and headers both ways. With
+// resilience disabled this is a single attempt and transport failures
+// become 502 upstream_unreachable envelopes — the uniform error surface
+// clients already parse. With resilience enabled, retryable requests get
+// bounded retries with jittered backoff, each attempt re-routed (an
+// override installed mid-retry redirects the next attempt), gated by the
+// member's circuit breaker, and bounded by the caller's propagated
+// deadline; the final failure is classified as 504 deadline_exceeded, 503
+// upstream_degraded (breaker open), or 502 upstream_unreachable.
 func (rt *Router) proxy(w http.ResponseWriter, r *http.Request, fixed, id string) {
 	start := rt.now()
 	span := rt.tracer.Start("router.forward").
@@ -221,7 +205,7 @@ func (rt *Router) proxy(w http.ResponseWriter, r *http.Request, fixed, id string
 		b, err := io.ReadAll(r.Body)
 		if err != nil {
 			span.Bool("error", true).End()
-			writeError(w, http.StatusBadRequest, httpapi.CodeBadRequest,
+			httpapi.WriteError(w, http.StatusBadRequest, httpapi.CodeBadRequest,
 				fmt.Errorf("read request body: %v", err))
 			return
 		}
@@ -230,27 +214,18 @@ func (rt *Router) proxy(w http.ResponseWriter, r *http.Request, fixed, id string
 	// The whole-request budget: the caller's propagated deadline wins, else
 	// the configured default. Attempts, backoffs, and the downstream
 	// X-Miras-Deadline-Ms headers all derive from it.
+	budget, ok := httpapi.ReadDeadline(w, r)
+	if !ok {
+		span.Bool("error", true).End()
+		return
+	}
+	if budget == 0 {
+		budget = rt.res.RequestTimeout
+	}
 	ctx := r.Context()
-	if raw := r.Header.Get(httpapi.DeadlineHeader); raw != "" {
-		ms, err := strconv.ParseInt(raw, 10, 64)
-		if err != nil {
-			span.Bool("error", true).End()
-			writeError(w, http.StatusBadRequest, httpapi.CodeBadRequest,
-				fmt.Errorf("invalid %s header %q", httpapi.DeadlineHeader, raw))
-			return
-		}
-		if ms <= 0 {
-			span.Bool("error", true).End()
-			writeError(w, http.StatusGatewayTimeout, httpapi.CodeDeadlineExceeded,
-				fmt.Errorf("request deadline already exhausted"))
-			return
-		}
+	if budget > 0 {
 		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, time.Duration(ms)*time.Millisecond)
-		defer cancel()
-	} else if rt.res.RequestTimeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, rt.res.RequestTimeout)
+		ctx, cancel = context.WithTimeout(ctx, budget)
 		defer cancel()
 	}
 
@@ -308,7 +283,7 @@ func (rt *Router) proxy(w http.ResponseWriter, r *http.Request, fixed, id string
 		if err != nil {
 			rt.breakers[shard].abort(trial)
 			span.Bool("error", true).End()
-			writeError(w, http.StatusBadRequest, httpapi.CodeBadRequest, err)
+			httpapi.WriteError(w, http.StatusBadRequest, httpapi.CodeBadRequest, err)
 			return
 		}
 		req.Header = r.Header.Clone()
@@ -370,16 +345,16 @@ func (rt *Router) proxy(w http.ResponseWriter, r *http.Request, fixed, id string
 	span.Int("attempts", lastAttempt+1).Bool("error", true).End()
 	switch {
 	case ctx.Err() == context.DeadlineExceeded:
-		writeError(w, http.StatusGatewayTimeout, httpapi.CodeDeadlineExceeded,
+		httpapi.WriteError(w, http.StatusGatewayTimeout, httpapi.CodeDeadlineExceeded,
 			fmt.Errorf("request deadline exceeded after %d attempt(s): %v", lastAttempt+1, lastErr))
 	case breakerHit != "":
 		// Fail fast, but tell the client when it is worth coming back.
 		w.Header().Set("Retry-After",
 			strconv.Itoa(int((rt.res.BreakerCooldown+time.Second-1)/time.Second)))
-		writeError(w, http.StatusServiceUnavailable, httpapi.CodeUpstreamDegraded,
+		httpapi.WriteError(w, http.StatusServiceUnavailable, httpapi.CodeUpstreamDegraded,
 			fmt.Errorf("shard %s degraded: circuit breaker open", breakerHit))
 	default:
-		writeError(w, http.StatusBadGateway, httpapi.CodeUpstreamUnreachable, lastErr)
+		httpapi.WriteError(w, http.StatusBadGateway, httpapi.CodeUpstreamUnreachable, lastErr)
 	}
 }
 
@@ -390,78 +365,59 @@ func (rt *Router) proxy(w http.ResponseWriter, r *http.Request, fixed, id string
 func (rt *Router) handleCreate(w http.ResponseWriter, r *http.Request) {
 	id := "r" + strconv.FormatInt(rt.nextID.Add(1), 10)
 	r.Header.Set(httpapi.SessionIDHeader, id)
-	rt.forwardSession(w, r, id)
+	rt.proxy(w, r, "", id)
 }
 
 // handleByID forwards any /v1/sessions/{id} or /v1/sessions/{id}/{op}
 // request to the id's owner (or the fallback serving it after a failover).
 func (rt *Router) handleByID(w http.ResponseWriter, r *http.Request) {
-	rt.forwardSession(w, r, r.PathValue("id"))
+	rt.proxy(w, r, "", r.PathValue("id"))
 }
 
 // handleEnsembles serves the static ensemble catalog from any shard (it is
 // identical everywhere).
 func (rt *Router) handleEnsembles(w http.ResponseWriter, r *http.Request) {
-	rt.forward(w, r, rt.shards[0])
+	rt.proxy(w, r, rt.shards[0], "")
 }
 
 // handleList fans GET /v1/sessions out to every shard and merges the
 // results into one id-ordered page. Each shard is asked for a full page
-// (the shard-side maximum), so the merged listing is exact as long as no
-// single shard holds more than 1000 sessions past the token.
+// (httpapi.MaxListLimit), so the merged listing is exact as long as no
+// single shard holds more than that many sessions past the token. The
+// client's limit and page_token parse exactly as on a shard.
 func (rt *Router) handleList(w http.ResponseWriter, r *http.Request) {
-	q := r.URL.Query()
-	limit := 100
-	if raw := q.Get("limit"); raw != "" {
-		n, err := strconv.Atoi(raw)
-		if err != nil || n <= 0 {
-			writeError(w, http.StatusBadRequest, httpapi.CodeBadRequest,
-				fmt.Errorf("limit must be a positive integer, got %q", raw))
-			return
-		}
-		limit = n
+	limit, token, ok := httpapi.ReadListQuery(w, r)
+	if !ok {
+		return
 	}
-	if limit > 1000 {
-		limit = 1000
+	query := url.Values{"limit": {strconv.Itoa(httpapi.MaxListLimit)}}
+	if token != "" {
+		query.Set("page_token", token)
 	}
-	token := q.Get("page_token")
 
 	type shardPage struct {
 		page httpapi.ListResponse
 		err  error
 	}
 	pages := make([]shardPage, len(rt.shards))
-	var wg sync.WaitGroup
-	for i, sh := range rt.shards {
-		wg.Add(1)
-		go func(i int, sh string) {
-			defer wg.Done()
-			url := sh + "/v1/sessions?limit=1000"
-			if token != "" {
-				url += "&page_token=" + token
-			}
-			resp, err := rt.client.Get(url)
-			rt.reqs[sh].Inc()
-			if err != nil {
-				rt.upErrs[sh].Inc()
-				pages[i].err = fmt.Errorf("shard %s unreachable: %v", sh, err)
-				return
-			}
-			defer resp.Body.Close()
-			if resp.StatusCode != http.StatusOK {
-				pages[i].err = fmt.Errorf("shard %s list status %d", sh, resp.StatusCode)
-				return
-			}
+	rt.fanOut("/v1/sessions?"+query.Encode(), func(i int, sh string, resp *http.Response, err error) {
+		rt.reqs[sh].Inc()
+		switch {
+		case err != nil:
+			rt.upErrs[sh].Inc()
+			pages[i].err = fmt.Errorf("shard %s unreachable: %v", sh, err)
+		case resp.StatusCode != http.StatusOK:
+			pages[i].err = fmt.Errorf("shard %s list status %d", sh, resp.StatusCode)
+		default:
 			pages[i].err = json.NewDecoder(resp.Body).Decode(&pages[i].page)
-		}(i, sh)
-	}
-	wg.Wait()
+		}
+	})
 
 	var merged []httpapi.SessionSummary
 	truncated := false
 	for _, p := range pages {
 		if p.err != nil {
-			writeError(w, http.StatusBadGateway, httpapi.CodeUpstreamUnreachable, p.err)
+			httpapi.WriteError(w, http.StatusBadGateway, httpapi.CodeUpstreamUnreachable, p.err)
 			return
 		}
 		merged = append(merged, p.page.Sessions...)
@@ -481,9 +437,7 @@ func (rt *Router) handleList(w http.ResponseWriter, r *http.Request) {
 	if truncated && len(out.Sessions) > 0 {
 		out.NextPageToken = out.Sessions[len(out.Sessions)-1].ID
 	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(http.StatusOK)
-	_ = json.NewEncoder(w).Encode(out)
+	httpapi.WriteJSON(w, http.StatusOK, out)
 }
 
 // handleHealthz reports 200 only when every shard's /healthz answers 200,
@@ -501,21 +455,10 @@ func (rt *Router) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 	}
 	out := make([]health, len(rt.shards))
 	allOK := true
-	var wg sync.WaitGroup
-	for i, sh := range rt.shards {
-		wg.Add(1)
-		go func(i int, sh string) {
-			defer wg.Done()
-			out[i].Shard = sh
-			resp, err := rt.client.Get(sh + "/healthz")
-			if err == nil {
-				io.Copy(io.Discard, resp.Body)
-				resp.Body.Close()
-				out[i].OK = resp.StatusCode == http.StatusOK
-			}
-		}(i, sh)
-	}
-	wg.Wait()
+	rt.fanOut("/healthz", func(i int, sh string, resp *http.Response, err error) {
+		out[i].Shard = sh
+		out[i].OK = err == nil && resp.StatusCode == http.StatusOK
+	})
 	for i, sh := range rt.shards {
 		if br := rt.breakers[sh]; br != nil {
 			switch state, fails := br.snapshot(); {
@@ -542,9 +485,27 @@ func (rt *Router) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 	if !allOK {
 		status = http.StatusServiceUnavailable
 	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(map[string]any{"ok": allOK, "shards": out})
+	httpapi.WriteJSON(w, status, map[string]any{"ok": allOK, "shards": out})
+}
+
+// fanOut GETs path from every shard concurrently and hands each outcome to
+// f, indexed like rt.shards. f runs on the fetching goroutine; the response
+// body is drained and closed after it returns.
+func (rt *Router) fanOut(path string, f func(i int, sh string, resp *http.Response, err error)) {
+	var wg sync.WaitGroup
+	for i, sh := range rt.shards {
+		wg.Add(1)
+		go func(i int, sh string) {
+			defer wg.Done()
+			resp, err := rt.client.Get(sh + path)
+			f(i, sh, resp, err)
+			if err == nil {
+				_, _ = io.Copy(io.Discard, resp.Body)
+				resp.Body.Close()
+			}
+		}(i, sh)
+	}
+	wg.Wait()
 }
 
 // promFamily is one metric family reassembled during the merge: its
@@ -569,28 +530,16 @@ func (rt *Router) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 		err   error
 	}
 	results := make([]fetched, len(rt.shards))
-	var wg sync.WaitGroup
-	for i, sh := range rt.shards {
-		wg.Add(1)
-		go func(i int, sh string) {
-			defer wg.Done()
-			results[i].shard = sh
-			resp, err := rt.client.Get(sh + "/metrics")
-			if err != nil {
-				rt.upErrs[sh].Inc()
-				results[i].err = err
-				return
-			}
-			defer resp.Body.Close()
-			raw, err := io.ReadAll(resp.Body)
-			if err != nil {
-				results[i].err = err
-				return
-			}
-			results[i].body = string(raw)
-		}(i, sh)
-	}
-	wg.Wait()
+	rt.fanOut("/metrics", func(i int, sh string, resp *http.Response, err error) {
+		results[i].shard = sh
+		if err != nil {
+			rt.upErrs[sh].Inc()
+			results[i].err = err
+			return
+		}
+		raw, err := io.ReadAll(resp.Body)
+		results[i].body, results[i].err = string(raw), err
+	})
 
 	for _, res := range results {
 		if res.err != nil {

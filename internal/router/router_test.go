@@ -8,6 +8,8 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
+	"sort"
 	"strings"
 	"testing"
 
@@ -222,6 +224,44 @@ func TestRouterMergedList(t *testing.T) {
 	}
 	if len(walked) != len(ids) {
 		t.Fatalf("pagination walked %d sessions, want %d: %v", len(walked), len(ids), walked)
+	}
+}
+
+// TestRouterListEscapedPageToken pins that the merged listing forwards the
+// client's page_token to each shard escaped: a token with a trailing space
+// answers 200 through the router, exactly as on the shards themselves.
+func TestRouterListEscapedPageToken(t *testing.T) {
+	members := startFleet(t, 2)
+	routerURL := startRouter(t, members)
+	for i := 0; i < 3; i++ {
+		if status := jdo(t, routerURL, "POST", "/v1/sessions", httpapi.CreateRequest{
+			Ensemble: "toy", Budget: 4,
+		}, nil); status != http.StatusCreated {
+			t.Fatalf("create status %d", status)
+		}
+	}
+	const path = "/v1/sessions?page_token=r1%20"
+	var direct []string
+	for _, m := range members {
+		var page httpapi.ListResponse
+		if status := jdo(t, m, "GET", path, nil, &page); status != http.StatusOK {
+			t.Fatalf("shard %s list status %d", m, status)
+		}
+		for _, s := range page.Sessions {
+			direct = append(direct, s.ID)
+		}
+	}
+	sort.Strings(direct)
+	var merged httpapi.ListResponse
+	if status := jdo(t, routerURL, "GET", path, nil, &merged); status != http.StatusOK {
+		t.Fatalf("router list status %d", status)
+	}
+	var got []string
+	for _, s := range merged.Sessions {
+		got = append(got, s.ID)
+	}
+	if want := []string{"r2", "r3"}; !reflect.DeepEqual(got, want) || !reflect.DeepEqual(direct, want) {
+		t.Fatalf("after token %q: router listed %v, shards %v, want %v", "r1 ", got, direct, want)
 	}
 }
 

@@ -262,8 +262,8 @@ func runDecideFaults(p Params) (map[string]float64, error) {
 }
 
 // runDrainRehydrate measures the shard-retirement path: spill every live
-// session's snapshot to disk (drain), then rebuild them all through the
-// restore path (rehydrate). The measured wall time is what a rolling
+// session's snapshot to disk (drain), then rebuild them all from those
+// snapshots (rehydrate). The measured wall time is what a rolling
 // restart pays per process.
 func runDrainRehydrate(p Params) (map[string]float64, error) {
 	sessions := p.intOr("sessions", 12)
