@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
-# Golden end-to-end regression gate: build the three experiment CLIs, run
-# seeded short-horizon train / compare / chaos pipelines with runtime
-# invariants enabled, and fail unless every produced CSV matches the sha256
+# Golden end-to-end regression gate: build the four experiment CLIs, run
+# seeded short-horizon train / compare / chaos pipelines and the miras-sweep
+# budget / dynamic / chaos / multiseed studies with runtime invariants enabled, and fail unless every produced CSV matches the sha256
 # manifest pinned in scripts/testdata/golden_demo.sha256. Any behavioural
 # drift — an RNG draw reordered, a reward term changed, a float expression
 # reassociated — changes the bytes and trips the gate. `make golden-demo`
@@ -27,10 +27,11 @@ WORK="$(mktemp -d)"
 cleanup() { rm -rf "$WORK"; }
 trap cleanup EXIT
 
-echo "==> building miras-train miras-compare miras-chaos"
+echo "==> building miras-train miras-compare miras-chaos miras-sweep"
 go build -o "$WORK/miras-train" ./cmd/miras-train
 go build -o "$WORK/miras-compare" ./cmd/miras-compare
 go build -o "$WORK/miras-chaos" ./cmd/miras-chaos
+go build -o "$WORK/miras-sweep" ./cmd/miras-sweep
 
 OUT="$WORK/out"
 
@@ -48,6 +49,13 @@ echo "==> seeded compare run (shrunk training)"
 echo "==> seeded chaos run (non-learning algorithms)"
 "$WORK/miras-chaos" -algorithms stream,heft,monad -windows 8 \
     -out "$OUT" >"$WORK/chaos.log"
+
+# The sweep studies write budget-sweep-msd.csv, dynamic-load-msd.csv,
+# chaos-msd.csv and compare-msd-multiseed.csv: no name collides above.
+for study in budget dynamic chaos multiseed; do
+    echo "==> seeded sweep study: $study"
+    "$WORK/miras-sweep" -study "$study" -out "$OUT" >"$WORK/sweep-$study.log"
+done
 
 manifest="$WORK/manifest.sha256"
 (cd "$OUT" && sha256sum -- *.csv | LC_ALL=C sort -k2) >"$manifest"
