@@ -386,7 +386,7 @@ func BenchmarkExtensionChaos(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		b.ReportMetric(float64(res.Failures), "failures-injected")
+		b.ReportMetric(float64(res.Crashed["hpa"]), "failures-injected")
 	}
 }
 

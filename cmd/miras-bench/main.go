@@ -49,7 +49,7 @@ func run() error {
 	fmt.Fprintf(&report, "# MIRAS reproduction run (%s scale, %s)\n\n", *scale, time.Now().Format(time.RFC3339))
 
 	for _, ens := range ensembles {
-		s, err := setup(ens, *scale)
+		s, err := experiments.ScaleSetup(*scale, ens)
 		if err != nil {
 			return err
 		}
@@ -141,7 +141,7 @@ func runEnsemble(s experiments.Setup, out string, skipAblations bool, report *st
 	}
 	fmt.Fprintf(report, "- **Dynamic load (±50%% sine)**: completions miras %d, stream %d, heft %d, monad %d, hpa %d; mean delay miras %.1fs vs heft %.1fs\n",
 		dyn.Completed["miras"], dyn.Completed["stream"], dyn.Completed["heft"],
-		dyn.Completed["monad"], dyn.Completed["hpa"], dyn.MeanDelay["miras"], dyn.MeanDelay["heft"])
+		dyn.Completed["monad"], dyn.Completed["hpa"], dyn.OverallMeanDelay["miras"], dyn.OverallMeanDelay["heft"])
 
 	chaos, err := experiments.Chaos(s, []string{"miras", "stream", "heft", "hpa"}, trained, 60)
 	if err != nil {
@@ -150,9 +150,9 @@ func runEnsemble(s experiments.Setup, out string, skipAblations bool, report *st
 	if err := save(out, &chaos.Table); err != nil {
 		return err
 	}
-	fmt.Fprintf(report, "- **Chaos (consumer kill every 60s, %d failures)**: completions miras %d, stream %d, heft %d, hpa %d — no request lost\n",
-		chaos.Failures, chaos.Completed["miras"], chaos.Completed["stream"],
-		chaos.Completed["heft"], chaos.Completed["hpa"])
+	fmt.Fprintf(report, "- **Chaos (consumer kill every 60s)**: completions miras %d, stream %d, heft %d, hpa %d; consumers killed miras %d, stream %d, heft %d, hpa %d — no request lost\n",
+		chaos.Completed["miras"], chaos.Completed["stream"], chaos.Completed["heft"], chaos.Completed["hpa"],
+		chaos.Crashed["miras"], chaos.Crashed["stream"], chaos.Crashed["heft"], chaos.Crashed["hpa"])
 
 	// --- Ablations.
 	if !skipAblations {
@@ -218,17 +218,4 @@ func save(out string, t *trace.Table) error {
 	}
 	fmt.Printf("  wrote %s\n", path)
 	return nil
-}
-
-func setup(ensemble, scale string) (experiments.Setup, error) {
-	switch scale {
-	case "paper":
-		return experiments.PaperSetup(ensemble)
-	case "medium":
-		return experiments.MediumSetup(ensemble)
-	case "quick":
-		return experiments.QuickSetup(ensemble)
-	default:
-		return experiments.Setup{}, fmt.Errorf("unknown scale %q (quick, medium, or paper)", scale)
-	}
 }

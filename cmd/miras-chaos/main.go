@@ -43,7 +43,7 @@ func run() (err error) {
 	selfCheck := flag.Bool("selfcheck", false, "run the determinism self-check under every fault regime (paired seeded runs must produce identical digests) and exit")
 	flag.Parse()
 
-	s, err := setup(*ensemble, *scale)
+	s, err := experiments.ScaleSetup(*scale, *ensemble)
 	if err != nil {
 		return err
 	}
@@ -136,17 +136,4 @@ func needsTraining(algs []string) bool {
 		}
 	}
 	return false
-}
-
-func setup(ensemble, scale string) (experiments.Setup, error) {
-	switch scale {
-	case "paper":
-		return experiments.PaperSetup(ensemble)
-	case "medium":
-		return experiments.MediumSetup(ensemble)
-	case "quick":
-		return experiments.QuickSetup(ensemble)
-	default:
-		return experiments.Setup{}, fmt.Errorf("unknown scale %q (quick, medium, or paper)", scale)
-	}
 }

@@ -30,7 +30,7 @@ func run() error {
 	seed := flag.Int64("seed", 0, "override experiment seed (0 keeps the preset)")
 	flag.Parse()
 
-	s, err := setup(*ensemble, *scale)
+	s, err := experiments.ScaleSetup(*scale, *ensemble)
 	if err != nil {
 		return err
 	}
@@ -70,17 +70,4 @@ func run() error {
 	}
 	fmt.Printf("wrote %s and %s\n", rewardPath, wipPath)
 	return nil
-}
-
-func setup(ensemble, scale string) (experiments.Setup, error) {
-	switch scale {
-	case "paper":
-		return experiments.PaperSetup(ensemble)
-	case "medium":
-		return experiments.MediumSetup(ensemble)
-	case "quick":
-		return experiments.QuickSetup(ensemble)
-	default:
-		return experiments.Setup{}, fmt.Errorf("unknown scale %q (quick, medium, or paper)", scale)
-	}
 }

@@ -89,7 +89,7 @@ func run() (err error) {
 		}
 		for _, name := range nonLearning {
 			fmt.Printf("%-8s completed %d, mean delay %.1fs\n",
-				name, res.Completed[name], res.MeanDelay[name])
+				name, res.Completed[name], res.OverallMeanDelay[name])
 		}
 		return saveTable(*out, &res.Table)
 
@@ -101,9 +101,10 @@ func run() (err error) {
 		if err := res.Table.Render(os.Stdout, 10); err != nil {
 			return err
 		}
-		fmt.Printf("%d consumer failures injected per run; completions:\n", res.Failures)
+		fmt.Println("one consumer killed every 60s; completions:")
 		for _, name := range nonLearning {
-			fmt.Printf("%-8s %d (mean delay %.1fs)\n", name, res.Completed[name], res.MeanDelay[name])
+			fmt.Printf("%-8s %d (mean delay %.1fs, %d consumers killed)\n",
+				name, res.Completed[name], res.OverallMeanDelay[name], res.Crashed[name])
 		}
 		return saveTable(*out, &res.Table)
 

@@ -53,7 +53,7 @@ func run() (err error) {
 	if *resume && *checkpointDir == "" {
 		return fmt.Errorf("-resume requires -checkpoint-dir")
 	}
-	s, err := setup(*ensemble, *scale)
+	s, err := experiments.ScaleSetup(*scale, *ensemble)
 	if err != nil {
 		return err
 	}
@@ -148,17 +148,4 @@ func run() (err error) {
 		fmt.Printf("saved trained policy snapshot to %s\n", *savePolicy)
 	}
 	return nil
-}
-
-func setup(ensemble, scale string) (experiments.Setup, error) {
-	switch scale {
-	case "paper":
-		return experiments.PaperSetup(ensemble)
-	case "medium":
-		return experiments.MediumSetup(ensemble)
-	case "quick":
-		return experiments.QuickSetup(ensemble)
-	default:
-		return experiments.Setup{}, fmt.Errorf("unknown scale %q (quick, medium, or paper)", scale)
-	}
 }

@@ -239,6 +239,9 @@ func NewAgentNoRefine(cfg Config) (*Agent, error) {
 }
 
 func newAgent(cfg Config) (*Agent, error) {
+	if cfg.Iterations < 0 {
+		return nil, fmt.Errorf("core: negative Iterations %d", cfg.Iterations)
+	}
 	cfg = cfg.withDefaults()
 	j := cfg.Env.StateDim()
 	ad := cfg.Env.ActionDim()

@@ -64,6 +64,23 @@ func TestNewAgentValidation(t *testing.T) {
 	if _, err := NewAgentNoRefine(Config{}); err == nil {
 		t.Fatal("expected error without Env (no-refine)")
 	}
+	cfg := tinyConfig(newToyEnv(t, 1), 1)
+	cfg.Iterations = -1
+	if _, err := NewAgent(cfg); err == nil {
+		t.Fatal("expected error for negative Iterations")
+	}
+	if _, err := NewAgentNoRefine(cfg); err == nil {
+		t.Fatal("expected error for negative Iterations (no-refine)")
+	}
+	// Zero still means the default.
+	cfg.Iterations = 0
+	agent, err := NewAgent(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if agent.cfg.Iterations != 12 {
+		t.Fatalf("Iterations=%d, want default 12", agent.cfg.Iterations)
+	}
 }
 
 func TestCollectRealGrowsDataset(t *testing.T) {

@@ -364,8 +364,12 @@ type Controller interface {
 
 // Run drives the environment with the controller for the given number of
 // windows, returning one StepResult per window. The first decision sees a
-// synthetic StepResult holding the current state and empty stats.
+// synthetic StepResult holding the current state and empty stats. A
+// negative window count is an error; zero windows return an empty result.
 func Run(e *Env, ctrl Controller, windows int) ([]StepResult, error) {
+	if windows < 0 {
+		return nil, fmt.Errorf("env: negative window count %d", windows)
+	}
 	results := make([]StepResult, 0, windows)
 	prev := StepResult{State: e.State(), Stats: Stats{
 		WIP:       e.Cluster().WIP(),

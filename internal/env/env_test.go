@@ -192,6 +192,25 @@ func TestRunDrivesController(t *testing.T) {
 	}
 }
 
+func TestRunWindowCount(t *testing.T) {
+	for _, tc := range []struct {
+		windows int
+		wantErr bool
+	}{
+		{windows: -1, wantErr: true},
+		{windows: 0},
+	} {
+		e := newTestEnv(t, workflow.Toy(), 4, 11)
+		results, err := Run(e, staticController{m: []int{2, 2}}, tc.windows)
+		if (err != nil) != tc.wantErr {
+			t.Fatalf("windows=%d: err=%v, wantErr=%v", tc.windows, err, tc.wantErr)
+		}
+		if len(results) != 0 || e.Window() != 0 {
+			t.Fatalf("windows=%d: %d results, %d windows stepped; want none", tc.windows, len(results), e.Window())
+		}
+	}
+}
+
 func TestRunPropagatesControllerError(t *testing.T) {
 	e := newTestEnv(t, workflow.Toy(), 4, 10)
 	_, err := Run(e, staticController{m: []int{9, 9}}, 3)

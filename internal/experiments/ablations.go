@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 
-	"miras/internal/baselines"
 	"miras/internal/core"
 	"miras/internal/env"
 	"miras/internal/envmodel"
@@ -48,16 +47,13 @@ func WindowLengthAblation(s Setup, windows []float64) (*WindowLengthResult, erro
 		sw.WindowSec = w
 		// Equal total virtual time across window lengths.
 		sw.CompareWindows = int(float64(s.CompareWindows) * s.WindowSec / w)
-		series, err := runScenario(sw, bursts[0], baselines.NewMONAD(sw.Budget, sw.WindowSec))
+		r, err := runScenario(sw, scenario{offset: 300, burst: bursts[0]},
+			fmt.Sprintf("window-%g", w), []string{"monad", "stream"}, nil)
 		if err != nil {
 			return nil, err
 		}
-		res.MeanDelay = append(res.MeanDelay, metrics.Mean(series))
-		drsSeries, err := runScenario(sw, bursts[0], baselines.NewDRS(sw.Budget, sw.WindowSec))
-		if err != nil {
-			return nil, err
-		}
-		res.MeanDelayDRS = append(res.MeanDelayDRS, metrics.Mean(drsSeries))
+		res.MeanDelay = append(res.MeanDelay, metrics.Mean(r.Table.Series[0].Values))
+		res.MeanDelayDRS = append(res.MeanDelayDRS, metrics.Mean(r.Table.Series[1].Values))
 	}
 	res.Table = trace.Table{
 		Title:  fmt.Sprintf("ablation-window-%s", s.EnsembleName),
@@ -261,7 +257,7 @@ func SampleEfficiency(s Setup, trained *Trained, episodes int) (*SampleEfficienc
 // synthetic burst for other ensembles (tests).
 func paperOrFallbackBursts(s Setup) ([][]int, error) {
 	if s.EnsembleName == "msd" || s.EnsembleName == "ligo" {
-		return workloadPaperBursts(s.EnsembleName)
+		return workload.PaperBursts(s.EnsembleName)
 	}
 	ens, ok := workflow.ByName(s.EnsembleName)
 	if !ok {
@@ -274,165 +270,21 @@ func paperOrFallbackBursts(s Setup) ([][]int, error) {
 	return [][]int{burst}, nil
 }
 
-// workloadPaperBursts is a thin indirection over workload.PaperBursts kept
-// separate for testability.
-func workloadPaperBursts(ensemble string) ([][]int, error) {
-	return workload.PaperBursts(ensemble)
-}
-
-// DynamicLoadResult compares controllers under sinusoidally modulated
-// arrival rates — the "dynamic workloads" stressor beyond one-shot bursts.
-type DynamicLoadResult struct {
-	Table trace.Table
-	// MeanDelay maps controller name to its overall mean response time.
-	MeanDelay map[string]float64
-	// Completed maps controller name to total completions.
-	Completed map[string]int
-}
-
-// DynamicLoad runs the named non-learning controllers (plus any trained
-// ones) for s.CompareWindows windows under sine-modulated background load
-// with the given relative depth, no bursts.
-func DynamicLoad(s Setup, algorithms []string, trained *Trained, depth float64) (*DynamicLoadResult, error) {
-	ens, ok := workflow.ByName(s.EnsembleName)
-	if !ok {
-		return nil, fmt.Errorf("experiments: unknown ensemble %q", s.EnsembleName)
-	}
-	res := &DynamicLoadResult{
-		MeanDelay: make(map[string]float64),
-		Completed: make(map[string]int),
-	}
-	res.Table = trace.Table{
-		Title:  fmt.Sprintf("dynamic-load-%s", s.EnsembleName),
-		XLabel: "window",
-		YLabel: "mean response time (s)",
-	}
-	for _, name := range algorithms {
-		ctrl, err := controllerByName(name, s, ens, trained)
-		if err != nil {
-			return nil, err
-		}
-		h, err := BuildHarness(s, 700)
-		if err != nil {
-			return nil, err
-		}
+// DynamicLoad runs the named controllers for s.CompareWindows windows under
+// sine-modulated background arrival rates with the given relative depth, no
+// bursts — the "dynamic workloads" stressor beyond one-shot bursts.
+func DynamicLoad(s Setup, algorithms []string, trained *Trained, depth float64) (*ScenarioResult, error) {
+	sine := func(h *Harness) error {
 		mod, err := workload.NewModulator(h.Generator, h.Engine, workload.Sine,
 			10*s.WindowSec, depth, s.WindowSec/3)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		mod.Start()
-		ctrl.Reset()
-		results, err := env.Run(h.Env, ctrl, s.CompareWindows)
-		if err != nil {
-			return nil, fmt.Errorf("experiments: dynamic load %s: %w", name, err)
-		}
-		series := make([]float64, len(results))
-		var delaySum float64
-		completed := 0
-		for i, r := range results {
-			series[i] = r.Stats.MeanDelay()
-			for _, c := range r.Stats.Completions {
-				delaySum += c.Delay()
-				completed++
-			}
-		}
-		res.Table.AddSeries(name, series)
-		res.Completed[name] = completed
-		if completed > 0 {
-			res.MeanDelay[name] = delaySum / float64(completed)
-		}
+		return nil
 	}
-	return res, nil
-}
-
-// ChaosResult compares controllers while consumers are being killed at a
-// fixed rate — the infrastructure-reliability stressor the emulation's
-// acknowledgement/replication machinery exists for. No workflow request may
-// be lost regardless of controller.
-type ChaosResult struct {
-	Table trace.Table
-	// Completed and MeanDelay summarise each controller's run.
-	Completed map[string]int
-	MeanDelay map[string]float64
-	// Failures is the number of consumer kills injected per run.
-	Failures uint64
-}
-
-// Chaos runs the named controllers under a moderate burst while killing
-// one random live consumer every killEverySec of virtual time.
-func Chaos(s Setup, algorithms []string, trained *Trained, killEverySec float64) (*ChaosResult, error) {
-	if killEverySec <= 0 {
-		return nil, fmt.Errorf("experiments: killEverySec %g must be positive", killEverySec)
-	}
-	ens, ok := workflow.ByName(s.EnsembleName)
-	if !ok {
-		return nil, fmt.Errorf("experiments: unknown ensemble %q", s.EnsembleName)
-	}
-	bursts, err := paperOrFallbackBursts(s)
-	if err != nil {
-		return nil, err
-	}
-	res := &ChaosResult{
-		Completed: make(map[string]int),
-		MeanDelay: make(map[string]float64),
-	}
-	res.Table = trace.Table{
-		Title:  fmt.Sprintf("chaos-%s", s.EnsembleName),
-		XLabel: "window",
-		YLabel: "mean response time (s)",
-	}
-	for _, name := range algorithms {
-		ctrl, err := controllerByName(name, s, ens, trained)
-		if err != nil {
-			return nil, err
-		}
-		h, err := BuildHarness(s, 800)
-		if err != nil {
-			return nil, err
-		}
-		if err := h.Generator.InjectBurst(bursts[0]); err != nil {
-			return nil, err
-		}
-		chaosRNG := h.Streams.Stream("experiments/chaos")
-		var chaos func()
-		chaos = func() {
-			alive := h.Cluster.Consumers()
-			for attempt := 0; attempt < 4; attempt++ {
-				j := chaosRNG.Intn(len(alive))
-				if alive[j] > 0 {
-					if err := h.Cluster.InjectFailure(j); err == nil {
-						break
-					}
-				}
-			}
-			h.Engine.Schedule(killEverySec, chaos)
-		}
-		h.Engine.Schedule(killEverySec, chaos)
-
-		ctrl.Reset()
-		results, err := env.Run(h.Env, ctrl, s.CompareWindows)
-		if err != nil {
-			return nil, fmt.Errorf("experiments: chaos %s: %w", name, err)
-		}
-		series := make([]float64, len(results))
-		var delaySum float64
-		completed := 0
-		for i, r := range results {
-			series[i] = r.Stats.MeanDelay()
-			for _, c := range r.Stats.Completions {
-				delaySum += c.Delay()
-				completed++
-			}
-		}
-		res.Table.AddSeries(name, series)
-		res.Completed[name] = completed
-		if completed > 0 {
-			res.MeanDelay[name] = delaySum / float64(completed)
-		}
-		res.Failures = h.Cluster.Failures()
-	}
-	return res, nil
+	return runScenario(s, scenario{offset: 700, arm: sine},
+		fmt.Sprintf("dynamic-load-%s", s.EnsembleName), algorithms, trained)
 }
 
 // EnsembleModelResult compares the single environment model against a

@@ -8,18 +8,15 @@ import (
 	"strconv"
 
 	"miras/internal/cluster"
-	"miras/internal/env"
 	"miras/internal/faults"
-	"miras/internal/trace"
-	"miras/internal/workflow"
 )
 
-// This file is the declarative chaos-experiment driver built on
-// internal/faults: every algorithm is evaluated under identical seeded
-// fault regimes (paired arrival traces AND paired fault processes), giving
-// a Fig. 6-style comparison of burst response under failures. The older
-// kill-timer Chaos ablation (ablations.go) predates fault plans and is kept
-// for its callers.
+// This file holds the chaos experiments. ChaosCompare is the declarative
+// driver built on internal/faults: every algorithm is evaluated under
+// identical seeded fault regimes (paired arrival traces AND paired fault
+// processes), giving a Fig. 6-style comparison of burst response under
+// failures. Chaos is the kill-timer variant: the same burst scenario with a
+// timer that kills one random live consumer at a fixed interval.
 
 // ChaosRegime is one named fault scenario.
 type ChaosRegime struct {
@@ -104,18 +101,7 @@ func ChaosRegimes(s Setup) []ChaosRegime {
 // ChaosRegimeResult is one regime's comparison across algorithms.
 type ChaosRegimeResult struct {
 	Regime ChaosRegime
-	// Table holds one per-window mean-response-time series per algorithm,
-	// in run order.
-	Table trace.Table
-	// Completed, OverallMeanDelay summarise each algorithm's run (see
-	// CompareResult for the reading order: completions first).
-	Completed        map[string]int
-	OverallMeanDelay map[string]float64
-	// Crashed, Redelivered, and Dropped are the cluster's cumulative
-	// failure counters at the end of each algorithm's run.
-	Crashed     map[string]uint64
-	Redelivered map[string]uint64
-	Dropped     map[string]uint64
+	ScenarioResult
 }
 
 // ChaosCompare evaluates the algorithms under one regime: every algorithm
@@ -124,64 +110,55 @@ type ChaosRegimeResult struct {
 // trajectory), the paper burst is injected at time zero, and the controller
 // runs for s.CompareWindows windows.
 func ChaosCompare(s Setup, regime ChaosRegime, algorithms []string, trained *Trained) (*ChaosRegimeResult, error) {
-	ens, ok := workflow.ByName(s.EnsembleName)
-	if !ok {
-		return nil, fmt.Errorf("experiments: unknown ensemble %q", s.EnsembleName)
+	bursts, err := paperOrFallbackBursts(s)
+	if err != nil {
+		return nil, err
+	}
+	sc := scenario{
+		offset: 900,
+		burst:  bursts[0],
+		copts:  []cluster.Option{cluster.WithFaultPlan(regime.Plan)},
+	}
+	r, err := runScenario(s, sc, fmt.Sprintf("chaos-%s-%s", s.EnsembleName, regime.Name), algorithms, trained)
+	if err != nil {
+		return nil, err
+	}
+	return &ChaosRegimeResult{Regime: regime, ScenarioResult: *r}, nil
+}
+
+// Chaos runs the named controllers under the first paper burst while
+// killing one random live consumer every killEverySec of virtual time — the
+// infrastructure-reliability stressor the emulation's acknowledgement and
+// replication machinery exists for. No workflow request may be lost
+// regardless of controller; Crashed reports each run's kill count.
+func Chaos(s Setup, algorithms []string, trained *Trained, killEverySec float64) (*ScenarioResult, error) {
+	if killEverySec <= 0 {
+		return nil, fmt.Errorf("experiments: killEverySec %g must be positive", killEverySec)
 	}
 	bursts, err := paperOrFallbackBursts(s)
 	if err != nil {
 		return nil, err
 	}
-	res := &ChaosRegimeResult{
-		Regime:           regime,
-		Completed:        make(map[string]int),
-		OverallMeanDelay: make(map[string]float64),
-		Crashed:          make(map[string]uint64),
-		Redelivered:      make(map[string]uint64),
-		Dropped:          make(map[string]uint64),
-	}
-	res.Table = trace.Table{
-		Title:  fmt.Sprintf("chaos-%s-%s", s.EnsembleName, regime.Name),
-		XLabel: "window",
-		YLabel: "mean response time (s)",
-	}
-	for _, name := range algorithms {
-		ctrl, err := controllerByName(name, s, ens, trained)
-		if err != nil {
-			return nil, err
-		}
-		h, err := BuildHarness(s, 900, cluster.WithFaultPlan(regime.Plan))
-		if err != nil {
-			return nil, err
-		}
-		if err := h.Generator.InjectBurst(bursts[0]); err != nil {
-			return nil, err
-		}
-		ctrl.Reset()
-		results, err := env.Run(h.Env, ctrl, s.CompareWindows)
-		if err != nil {
-			return nil, fmt.Errorf("experiments: chaos %s/%s: %w", regime.Name, name, err)
-		}
-		series := make([]float64, len(results))
-		var delaySum float64
-		completed := 0
-		for i, r := range results {
-			series[i] = r.Stats.MeanDelay()
-			for _, c := range r.Stats.Completions {
-				delaySum += c.Delay()
-				completed++
+	killTimer := func(h *Harness) error {
+		rng := h.Streams.Stream("experiments/chaos")
+		var kill func()
+		kill = func() {
+			alive := h.Cluster.Consumers()
+			for attempt := 0; attempt < 4; attempt++ {
+				j := rng.Intn(len(alive))
+				if alive[j] > 0 {
+					if err := h.Cluster.InjectFailure(j); err == nil {
+						break
+					}
+				}
 			}
+			h.Engine.Schedule(killEverySec, kill)
 		}
-		res.Table.AddSeries(name, series)
-		res.Completed[name] = completed
-		if completed > 0 {
-			res.OverallMeanDelay[name] = delaySum / float64(completed)
-		}
-		res.Crashed[name] = h.Cluster.Failures()
-		res.Redelivered[name] = h.Cluster.Redeliveries()
-		res.Dropped[name] = h.Cluster.Dropped()
+		h.Engine.Schedule(killEverySec, kill)
+		return nil
 	}
-	return res, nil
+	return runScenario(s, scenario{offset: 800, burst: bursts[0], arm: killTimer},
+		fmt.Sprintf("chaos-%s", s.EnsembleName), algorithms, trained)
 }
 
 // ChaosCompareAll evaluates the algorithms under every standard regime.

@@ -7,7 +7,6 @@ import (
 	"miras/internal/env"
 	"miras/internal/metrics"
 	"miras/internal/rl"
-	"miras/internal/trace"
 	"miras/internal/workflow"
 	"miras/internal/workload"
 )
@@ -87,8 +86,7 @@ func controllerByName(name string, s Setup, ens *workflow.Ensemble, trained *Tra
 // CompareResult is one Figs. 7/8 panel: per-algorithm response-time traces
 // under one burst scenario, with summary statistics.
 type CompareResult struct {
-	// Table holds one response-time series per algorithm.
-	Table trace.Table
+	ScenarioResult
 	// Burst is the injected request counts per workflow type.
 	Burst []int
 	// AUC sums each algorithm's response-time trace (lower = faster
@@ -97,41 +95,6 @@ type CompareResult struct {
 	// TailMean averages the last quarter of each trace (the paper's
 	// "long-term returns" comparison).
 	TailMean map[string]float64
-	// Completed counts workflow requests each algorithm finished during
-	// the run. A per-window mean delay of 0 is meaningless when nothing
-	// completed, so rankings must read Completed first.
-	Completed map[string]int
-	// OverallMeanDelay is the completion-weighted mean response time over
-	// the whole run (0 if nothing completed).
-	OverallMeanDelay map[string]float64
-	// WorkflowTables breaks each algorithm's trace down by workflow type —
-	// the per-workflow view behind §VI-D's observation that MIRAS defers
-	// Coire-terminated workflows under large LIGO bursts and recovers
-	// later. One table per algorithm; one series per workflow type.
-	WorkflowTables map[string]*trace.Table
-}
-
-// Best returns the winning algorithm: among those that completed at least
-// 90% of the maximum completion count, the one with the lowest overall
-// mean delay. This guards against declaring a starving policy "fast".
-func (r *CompareResult) Best() string {
-	maxDone := 0
-	for _, done := range r.Completed {
-		if done > maxDone {
-			maxDone = done
-		}
-	}
-	best, bestDelay := "", 0.0
-	for name, done := range r.Completed {
-		if maxDone > 0 && done*10 < maxDone*9 {
-			continue
-		}
-		d := r.OverallMeanDelay[name]
-		if best == "" || d < bestDelay {
-			best, bestDelay = name, d
-		}
-	}
-	return best
 }
 
 // Compare runs one burst scenario: every algorithm gets a fresh environment
@@ -140,107 +103,22 @@ func (r *CompareResult) Best() string {
 // windows. The recorded series is the mean response time of workflow
 // requests completed in each window — the y-axis of Figs. 7–8.
 func Compare(s Setup, burst []int, algorithms []string, trained *Trained) (*CompareResult, error) {
-	ens, ok := workflow.ByName(s.EnsembleName)
-	if !ok {
-		return nil, fmt.Errorf("experiments: unknown ensemble %q", s.EnsembleName)
+	r, err := runScenario(s, scenario{offset: 300, burst: burst},
+		fmt.Sprintf("compare-%s", s.EnsembleName), algorithms, trained)
+	if err != nil {
+		return nil, err
 	}
 	res := &CompareResult{
-		Burst:            append([]int(nil), burst...),
-		AUC:              make(map[string]float64),
-		TailMean:         make(map[string]float64),
-		Completed:        make(map[string]int),
-		OverallMeanDelay: make(map[string]float64),
-		WorkflowTables:   make(map[string]*trace.Table),
+		ScenarioResult: *r,
+		Burst:          append([]int(nil), burst...),
+		AUC:            make(map[string]float64),
+		TailMean:       make(map[string]float64),
 	}
-	res.Table = trace.Table{
-		Title:  fmt.Sprintf("compare-%s", s.EnsembleName),
-		XLabel: "window",
-		YLabel: "mean response time (s)",
-	}
-	for _, name := range algorithms {
-		ctrl, err := controllerByName(name, s, ens, trained)
-		if err != nil {
-			return nil, err
-		}
-		series, byWF, completed, overall, err := runScenarioDetailed(s, burst, ctrl, ens)
-		if err != nil {
-			return nil, fmt.Errorf("experiments: scenario %s/%s: %w", s.EnsembleName, name, err)
-		}
-		res.Table.AddSeries(name, series)
-		res.AUC[name] = metrics.AUC(series)
-		res.TailMean[name] = metrics.TailMean(series, 0.25)
-		res.Completed[name] = completed
-		res.OverallMeanDelay[name] = overall
-		res.WorkflowTables[name] = byWF
+	for _, series := range r.Table.Series {
+		res.AUC[series.Name] = metrics.AUC(series.Values)
+		res.TailMean[series.Name] = metrics.TailMean(series.Values, 0.25)
 	}
 	return res, nil
-}
-
-// runScenario executes one (algorithm, burst) run and returns the
-// per-window mean response-time series.
-func runScenario(s Setup, burst []int, ctrl env.Controller) ([]float64, error) {
-	series, _, _, err := runScenarioFull(s, burst, ctrl)
-	return series, err
-}
-
-// runScenarioFull also reports the total completion count and the
-// completion-weighted mean delay over the run.
-func runScenarioFull(s Setup, burst []int, ctrl env.Controller) (series []float64, completed int, overallMeanDelay float64, err error) {
-	series, _, completed, overallMeanDelay, err = runScenarioDetailed(s, burst, ctrl, nil)
-	return series, completed, overallMeanDelay, err
-}
-
-// runScenarioDetailed additionally produces the per-workflow-type delay
-// table when ens is non-nil.
-func runScenarioDetailed(s Setup, burst []int, ctrl env.Controller, ens *workflow.Ensemble) (series []float64, byWF *trace.Table, completed int, overallMeanDelay float64, err error) {
-	// Identical seed offset for every algorithm: paired arrival traces.
-	h, err := BuildHarness(s, 300)
-	if err != nil {
-		return nil, nil, 0, 0, err
-	}
-	if err := h.Generator.InjectBurst(burst); err != nil {
-		return nil, nil, 0, 0, err
-	}
-	ctrl.Reset()
-	results, err := env.Run(h.Env, ctrl, s.CompareWindows)
-	if err != nil {
-		return nil, nil, 0, 0, err
-	}
-	series = make([]float64, len(results))
-	var wfSeries [][]float64
-	if ens != nil {
-		wfSeries = make([][]float64, ens.NumWorkflows())
-		for i := range wfSeries {
-			wfSeries[i] = make([]float64, len(results))
-		}
-	}
-	var delaySum float64
-	for i, r := range results {
-		series[i] = r.Stats.MeanDelay()
-		if ens != nil {
-			for wi, d := range r.Stats.MeanDelayByWorkflow(ens.NumWorkflows()) {
-				wfSeries[wi][i] = d
-			}
-		}
-		for _, c := range r.Stats.Completions {
-			delaySum += c.Delay()
-			completed++
-		}
-	}
-	if completed > 0 {
-		overallMeanDelay = delaySum / float64(completed)
-	}
-	if ens != nil {
-		byWF = &trace.Table{
-			Title:  fmt.Sprintf("%s-%s-byworkflow", s.EnsembleName, ctrl.Name()),
-			XLabel: "window",
-			YLabel: "mean response time (s)",
-		}
-		for wi, name := range ens.WorkflowNames() {
-			byWF.AddSeries(name, wfSeries[wi])
-		}
-	}
-	return series, byWF, completed, overallMeanDelay, nil
 }
 
 // CompareAll runs every paper burst scenario for the ensemble (Fig. 7 has

@@ -334,7 +334,7 @@ func TestChaosExperiment(t *testing.T) {
 	if len(res.Table.Series) != 2 {
 		t.Fatalf("series=%d", len(res.Table.Series))
 	}
-	if res.Failures == 0 {
+	if res.Crashed["hpa"] == 0 {
 		t.Fatal("no failures injected")
 	}
 	for _, name := range []string{"heft", "hpa"} {
@@ -426,7 +426,7 @@ func TestEvalBurstHookDeterministic(t *testing.T) {
 }
 
 func TestCompareBestGuardsAgainstStarvation(t *testing.T) {
-	res := &CompareResult{
+	res := &ScenarioResult{
 		Completed:        map[string]int{"good": 100, "starving": 2},
 		OverallMeanDelay: map[string]float64{"good": 50, "starving": 1},
 	}
@@ -434,7 +434,7 @@ func TestCompareBestGuardsAgainstStarvation(t *testing.T) {
 		t.Fatalf("Best=%q rewarded a starving policy", got)
 	}
 	// Among comparable completion counts, lowest delay wins.
-	res = &CompareResult{
+	res = &ScenarioResult{
 		Completed:        map[string]int{"a": 100, "b": 95},
 		OverallMeanDelay: map[string]float64{"a": 50, "b": 30},
 	}

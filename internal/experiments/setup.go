@@ -187,6 +187,21 @@ func MediumSetup(ensemble string) (Setup, error) {
 	return s, nil
 }
 
+// ScaleSetup returns the preset for scale — "quick", "medium", or "paper" —
+// and ensemble: the lookup behind every experiment CLI's -scale flag.
+func ScaleSetup(scale, ensemble string) (Setup, error) {
+	switch scale {
+	case "paper":
+		return PaperSetup(ensemble)
+	case "medium":
+		return MediumSetup(ensemble)
+	case "quick":
+		return QuickSetup(ensemble)
+	default:
+		return Setup{}, fmt.Errorf("experiments: unknown scale %q (quick, medium, or paper)", scale)
+	}
+}
+
 // trainBurstHook returns a function injecting a uniformly random burst
 // (half the time) bounded by s.TrainBurstMax, or nil when disabled.
 func trainBurstHook(s Setup, h *Harness) func() {

@@ -6,7 +6,6 @@ import (
 	"miras/internal/metrics"
 	"miras/internal/parallel"
 	"miras/internal/trace"
-	"miras/internal/workflow"
 )
 
 // BudgetSweepResult is the cost–performance curve behind §II-C's
@@ -28,9 +27,6 @@ type BudgetSweepResult struct {
 func BudgetSweep(s Setup, algorithms []string, budgets []int) (*BudgetSweepResult, error) {
 	if len(budgets) == 0 {
 		return nil, fmt.Errorf("experiments: no budgets to sweep")
-	}
-	if _, ok := workflow.ByName(s.EnsembleName); !ok {
-		return nil, fmt.Errorf("experiments: unknown ensemble %q", s.EnsembleName)
 	}
 	bursts, err := paperOrFallbackBursts(s)
 	if err != nil {
@@ -58,26 +54,17 @@ func BudgetSweep(s Setup, algorithms []string, budgets []int) (*BudgetSweepResul
 	// Setup — so the grid fans out across the worker pool (unless traced,
 	// see fanOut) and lands in index-addressed slots, keeping the output
 	// identical to a sequential sweep.
-	type point struct {
-		delay float64
-		done  int
-	}
-	points := make([]point, len(algorithms)*len(budgets))
+	points := make([]*ScenarioResult, len(algorithms)*len(budgets))
 	err = fanOut(s, len(points), func(idx int) error {
 		name := algorithms[idx/len(budgets)]
 		b := budgets[idx%len(budgets)]
 		sb := s
 		sb.Budget = b
-		pens, _ := workflow.ByName(sb.EnsembleName) // validated above; fresh per point
-		ctrl, err := controllerByName(name, sb, pens, nil)
-		if err != nil {
-			return err
-		}
-		series, done, _, err := runScenarioFull(sb, bursts[0], ctrl)
+		r, err := runScenario(sb, scenario{offset: 300, burst: bursts[0]}, res.Table.Title, []string{name}, nil)
 		if err != nil {
 			return fmt.Errorf("experiments: sweep %s@%d: %w", name, b, err)
 		}
-		points[idx] = point{delay: metrics.Mean(series), done: done}
+		points[idx] = r
 		return nil
 	})
 	if err != nil {
@@ -88,8 +75,8 @@ func BudgetSweep(s Setup, algorithms []string, budgets []int) (*BudgetSweepResul
 		completed := make([]int, len(budgets))
 		for bi := range budgets {
 			p := points[ai*len(budgets)+bi]
-			delays[bi] = p.delay
-			completed[bi] = p.done
+			delays[bi] = metrics.Mean(p.Table.Series[0].Values)
+			completed[bi] = p.Completed[name]
 		}
 		res.Table.AddSeries(name, delays)
 		res.Completed[name] = completed
